@@ -145,6 +145,14 @@ class GraphColoringAllocator:
                 if neighbor in remaining:
                     degrees[neighbor] -= 1
 
+        # move partners per pid, in pair order: pseudo ids come from a
+        # process-global counter, so iterating the move-pair *set* would
+        # make the preferred partner depend on what was compiled before
+        partners: dict[int, list[int]] = {}
+        for a, b in sorted(graph.move_pairs):
+            partners.setdefault(a, []).append(b)
+            partners.setdefault(b, []).append(a)
+
         assignment: dict[int, PhysReg] = {}
         spilled: list[PseudoReg] = []
         while stack:
@@ -160,10 +168,7 @@ class GraphColoringAllocator:
             live_across = pid in liveness.live_across_call
             chosen = None
             # prefer the move partner's register when it is legal
-            for a, b in graph.move_pairs:
-                partner = b if a == pid else (a if b == pid else None)
-                if partner is None:
-                    continue
+            for partner in partners.get(pid, ()):
                 reg = assignment.get(partner)
                 if reg is None:
                     continue
@@ -212,7 +217,7 @@ class GraphColoringAllocator:
         ]
         if not candidates:
             return None
-        victim = min(candidates, key=lambda n: graph.spill_cost[n])
+        victim = min(candidates, key=lambda n: (graph.spill_cost[n], n))
         del assignment[victim]
         return victim
 

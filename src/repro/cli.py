@@ -7,7 +7,6 @@ Commands:
 * ``serve`` — the compile-and-simulate HTTP service (``repro.serve``);
 * ``targets`` — list the bundled targets with description statistics;
 * ``report`` — regenerate the paper's tables and figures;
-* ``worker --connect HOST:PORT`` — join a multi-host evaluation grid;
 * ``cache`` — inspect or clear the persistent artifact cache.
 
 ``compile`` and ``run`` accept their options either as individual flags
@@ -67,8 +66,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jit",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="segment JIT for functional simulation (default: on, or the "
-        "REPRO_JIT environment override; bit-identical either way)",
+        help="segment JIT for functional simulation (default: on; "
+        "bit-identical either way)",
     )
 
 
@@ -262,12 +261,6 @@ def cmd_report(arguments) -> int:
     return run_report_command(arguments, bench_default=None)
 
 
-def cmd_worker(arguments) -> int:
-    from repro.eval.executors import worker_main
-
-    return worker_main(arguments.connect)
-
-
 def cmd_cache(arguments) -> int:
     from repro.cache import get_cache
 
@@ -388,8 +381,8 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--executor",
         default="local",
-        help="execution backend: local (process pool, the default), "
-        "inprocess (serial), socket, or socket:HOST:PORT",
+        help="execution backend: local (process pool, the default) or "
+        "inprocess (serial)",
     )
     serve_parser.add_argument(
         "--request-timeout",
@@ -445,21 +438,6 @@ def main(argv=None) -> int:
         help="write a machine-readable BENCH_eval.json here",
     )
     report_parser.set_defaults(handler=cmd_report)
-
-    worker_parser = commands.add_parser(
-        "worker",
-        help="join a SocketExecutor grid as a remote worker",
-        description="Connect to a running evaluation-grid coordinator "
-        "(repro report --executor socket:HOST:PORT) and execute work "
-        "units until told to shut down.",
-    )
-    worker_parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to connect to",
-    )
-    worker_parser.set_defaults(handler=cmd_worker)
 
     cache_parser = commands.add_parser(
         "cache",

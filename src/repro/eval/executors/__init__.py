@@ -8,9 +8,6 @@ See :mod:`repro.eval.executors.base` for the contract.  Backends:
 ``local``
     :class:`LocalPoolExecutor` — a ProcessPoolExecutor with the grid's
     crash-retry semantics.  The default for ``jobs>1``.
-``socket`` / ``socket:HOST:PORT``
-    :class:`SocketExecutor` — length-framed pickle over TCP; spawns
-    local ``repro worker`` processes, or listens for external ones.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ from repro.eval.executors.base import (
 )
 from repro.eval.executors.inprocess import InprocessAsyncExecutor
 from repro.eval.executors.local import LocalPoolExecutor
-from repro.eval.executors.socketexec import (
-    SocketExecutor,
-    parse_address,
-    worker_main,
-)
 
 __all__ = [
     "CRASH_PAYLOAD",
@@ -39,15 +31,12 @@ __all__ = [
     "ExecutorProbe",
     "InprocessAsyncExecutor",
     "LocalPoolExecutor",
-    "SocketExecutor",
     "UnitEvent",
-    "parse_address",
     "resolve_executor",
     "resolve_jobs",
     "resolve_timeout",
     "run_unit",
     "unit_deadline",
-    "worker_main",
 ]
 
 
@@ -55,20 +44,12 @@ def resolve_executor(spec: str, jobs: int | None = None) -> Executor:
     """Build a backend from a spec string (the CLI's ``--executor``).
 
     ``"inprocess"`` → serial in-process; ``"local"`` → process pool with
-    ``jobs`` workers; ``"socket"`` → TCP coordinator spawning ``jobs``
-    local workers; ``"socket:HOST:PORT"`` → TCP coordinator bound to an
-    explicit address, waiting for externally launched workers.
+    ``jobs`` workers.
     """
     if spec == "inprocess":
         return InprocessAsyncExecutor()
     if spec == "local":
         return LocalPoolExecutor(workers=jobs)
-    if spec == "socket":
-        return SocketExecutor(spawn=resolve_jobs(jobs))
-    if spec.startswith("socket:"):
-        host, port = parse_address(spec[len("socket:") :])
-        return SocketExecutor(host=host, port=port)
     raise ValueError(
-        f"unknown executor spec {spec!r}; want 'inprocess', 'local', "
-        "'socket', or 'socket:HOST:PORT'"
+        f"unknown executor spec {spec!r}; want 'inprocess' or 'local'"
     )

@@ -73,7 +73,7 @@ class InprocessAsyncExecutor(Executor):
         return dropped > 0
 
     def probe(self) -> ExecutorProbe:
-        # idle=0 always: there is never a spare worker to steal onto
+        # idle=0 always: the caller's thread is the only worker
         return ExecutorProbe(
             backend=self.backend,
             workers=1,

@@ -56,7 +56,6 @@ class LocalPoolExecutor(Executor):
         self._backoff = backoff
         self._pool: ProcessPoolExecutor | None = None
         self._futures: dict = {}  # Future -> key
-        self._started: dict = {}  # Future -> first-seen-running timestamp
         self._attempts: dict[str, int] = {}  # key -> dispatch count
         self._tasks: dict = {}  # key -> (task, timeout), for resubmission
         self._copies: dict[str, int] = {}  # key -> live future count
@@ -97,12 +96,6 @@ class LocalPoolExecutor(Executor):
 
     # -- events ------------------------------------------------------------
 
-    def _stamp_running(self) -> None:
-        now = time.monotonic()
-        for future in self._futures:
-            if future not in self._started and future.running():
-                self._started[future] = now
-
     def next_event(self, timeout: float | None = None) -> UnitEvent | None:
         while True:
             if self._events:
@@ -114,14 +107,12 @@ class LocalPoolExecutor(Executor):
                 timeout=timeout,
                 return_when=FIRST_COMPLETED,
             )
-            self._stamp_running()
             if not done:
                 return None
             broken = False
             orphans: list[str] = []
             for future in done:
                 key = self._futures.pop(future)
-                self._started.pop(future, None)
                 attempts = self._attempts.get(key, 1)
                 try:
                     status, payload, wall_s, metrics = future.result()
@@ -154,7 +145,6 @@ class LocalPoolExecutor(Executor):
         orphans.extend(self._futures.values())
         pool, self._pool = self._pool, None
         self._futures.clear()
-        self._started.clear()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         time.sleep(self._backoff)
@@ -180,25 +170,14 @@ class LocalPoolExecutor(Executor):
         for future, owner in list(self._futures.items()):
             if owner == key and future.cancel():
                 self._futures.pop(future, None)
-                self._started.pop(future, None)
                 self._finish_copy(key)
                 cancelled = True
         return cancelled
 
-    def running(self) -> dict[str, float]:
-        self._stamp_running()
-        now = time.monotonic()
-        elapsed: dict[str, float] = {}
-        for future, started in self._started.items():
-            key = self._futures.get(future)
-            if key is not None:
-                seconds = now - started
-                elapsed[key] = max(seconds, elapsed.get(key, 0.0))
-        return elapsed
-
     def probe(self) -> ExecutorProbe:
-        self._stamp_running()
-        in_flight = len(self._started)
+        in_flight = sum(
+            1 for future in self._futures if future.running() or future.done()
+        )
         queued = len(self._futures) - in_flight
         return ExecutorProbe(
             backend=self.backend,
@@ -216,5 +195,4 @@ class LocalPoolExecutor(Executor):
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         self._futures.clear()
-        self._started.clear()
         self._events.clear()

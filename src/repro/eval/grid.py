@@ -18,19 +18,18 @@ identically across backends, all configured through one
 
 * **backend selection** (``executor``): ``None`` picks the serial
   in-process backend for one job/unit and a local process pool
-  otherwise; a spec string (``"local"``, ``"inprocess"``, ``"socket"``,
-  ``"socket:HOST:PORT"``) builds a backend owned (and closed) by this
-  call; an :class:`~repro.eval.executors.Executor` *instance* is used
-  as-is and left open, so one warm pool or socket fleet can serve many
-  grids;
+  otherwise; a spec string (``"local"``, ``"inprocess"``) builds a
+  backend owned (and closed) by this call; an
+  :class:`~repro.eval.executors.Executor` *instance* is used as-is and
+  left open, so one warm pool can serve many grids;
 * **per-unit timeout** (``timeout`` / ``REPRO_UNIT_TIMEOUT``): each unit
   runs under a ``SIGALRM`` deadline in its worker and raises
   :class:`~repro.errors.GridTimeout` when it blows its wall-clock
   budget;
 * **crash containment** (``retries`` / ``backoff``): a worker lost to a
   SIGKILL/segfault costs only its in-flight units — the backend retries
-  them (pool rebuild, or adoption by a surviving socket worker) and
-  only after ``retries`` extra attempts turns them into failures;
+  them (pool rebuild) and only after ``retries`` extra attempts turns
+  them into failures;
 * **structured failures** (``failures="collect"``): instead of raising
   in the parent, a failed unit yields a :class:`GridFailure` in its
   result slot, carrying the serialized ``repro.errors`` taxonomy
@@ -38,23 +37,11 @@ identically across backends, all configured through one
   :class:`FailureCollector` (``collector=``), not in module-global
   state, so concurrent or nested grids cannot corrupt each other;
 * **checkpoint/resume** (``journal``): completed units are appended to a
-  :class:`~repro.eval.journal.Journal` (attributed to the worker that
-  ran them) and skipped on the next run;
-* **work-stealing** (``steal``): a unit whose wall clock exceeds
-  ``STEAL_FACTOR`` × the p90 of completed units is speculatively
-  resubmitted to an idle worker; the first completion event per key
-  wins and the loser is discarded, so results stay deterministic —
-  stealing changes *when* a value arrives, never *which* value fills
-  the slot;
-* **sharding** (``shard="K/N"``): only units whose key hashes to shard
-  ``K`` of ``N`` run; the rest get inert ``ShardSkipped`` placeholders
-  (not journalled, not collected).  N shard runs against one shared
-  journal, then a merge run, reproduce the full tables.
+  :class:`~repro.eval.journal.Journal` and skipped on the next run.
 
 Work units must be *top-level callables with picklable arguments and
 results* (the local pool forks, so a parent that has already warmed the
-target-build cache hands each worker a warm cache for free; socket
-workers pull from the persistent artifact cache instead).
+target-build cache hands each worker a warm cache for free).
 
 The job count resolves, in order: the explicit ``jobs`` option, the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -62,40 +49,21 @@ The job count resolves, in order: the explicit ``jobs`` option, the
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 from typing import Any, Callable, Sequence
 
 from repro.errors import reconstruct_error
 from repro.eval.executors import (
-    CRASH_PAYLOAD,
     Executor,
     InprocessAsyncExecutor,
     LocalPoolExecutor,
     resolve_executor,
     resolve_jobs,
     resolve_timeout,
-    run_unit,
-    unit_deadline,
 )
 from repro.eval.journal import MISSING, Journal
-from repro.options import UNSET, merge_legacy_kwargs
 from repro.utils import timing
-
-# back-compat aliases: these lived here before the executor layer
-_run_unit = run_unit
-_unit_deadline = unit_deadline
-_CRASH_PAYLOAD = CRASH_PAYLOAD
-
-#: seconds between event polls — each poll is also a work-stealing tick
-POLL = 0.2
-#: completed-unit wall samples needed before the p90 estimate is trusted
-STEAL_MIN_SAMPLES = 5
-#: a unit is a straggler past ``STEAL_FACTOR`` × the p90 wall estimate
-STEAL_FACTOR = 1.5
-#: never steal units younger than this many seconds
-STEAL_FLOOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -217,29 +185,6 @@ def resolve_batch(batch: int | None) -> int:
     return max(1, int(batch))
 
 
-def parse_shard(shard: str | None) -> tuple[int, int] | None:
-    """``"K/N"`` → ``(K, N)`` with ``1 <= K <= N``; ``None`` passes."""
-    if shard is None:
-        return None
-    try:
-        k_text, _, n_text = str(shard).partition("/")
-        k, n = int(k_text), int(n_text)
-    except ValueError:
-        raise ValueError(
-            f"bad shard spec {shard!r}: want 'K/N' (e.g. '2/4')"
-        ) from None
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"bad shard spec {shard!r}: want 1 <= K <= N")
-    return k, n
-
-
-def shard_owns(key: str, k: int, n: int) -> bool:
-    """Stable key→shard assignment: sha256, not ``hash()`` (which is
-    salted per process and would scatter units across runs)."""
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:4], "big") % n == k - 1
-
-
 @dataclass(frozen=True)
 class GridOptions:
     """Consolidated knobs for one grid run.
@@ -257,11 +202,8 @@ class GridOptions:
       completed units into and resume from;
     * ``executor`` — ``None`` (auto), a backend spec string, or a live
       :class:`~repro.eval.executors.Executor` to reuse across grids;
-    * ``shard`` — ``"K/N"`` to run only this run's slice of the grid;
     * ``collector`` — the :class:`FailureCollector` receiving collected
       failures (``None``: a process-wide default);
-    * ``steal`` — speculatively resubmit straggler units to idle
-      workers (deterministic: first event per key wins);
     * ``batch`` — run up to this many pending units sharing a
       ``GridTask.batch_key`` inside one worker task, so they share a
       warmed per-process executable memo (``None``: ``REPRO_BATCH`` or
@@ -276,9 +218,7 @@ class GridOptions:
     failures: str = "raise"
     journal: Journal | None = None
     executor: str | Executor | None = None
-    shard: str | None = None
     collector: FailureCollector | None = None
-    steal: bool = True
     batch: int | None = None
 
     def __post_init__(self) -> None:
@@ -291,7 +231,6 @@ class GridOptions:
             raise ValueError(
                 f"GridOptions.batch must be >= 1, got {self.batch!r}"
             )
-        parse_shard(self.shard)  # validate eagerly
 
 
 def with_jobs(
@@ -370,40 +309,25 @@ def _resolve_backend(
     )
 
 
-def _percentile_90(samples: list) -> float:
-    ranked = sorted(samples)
-    return ranked[min(len(ranked) - 1, int(len(ranked) * 0.9))]
-
-
 def run_grid(
     units: Sequence,
     options: GridOptions | None = None,
     *,
     label: str = "grid",
-    jobs=UNSET,
 ) -> list:
     """Run every work unit; results come back in submission order.
 
     ``units`` may hold :class:`GridTask` instances, bare callables, or
     ``(fn, args)`` / ``(fn, args, kwargs)`` tuples.  All configuration
     rides on one :class:`GridOptions` record (backend, timeout, retries,
-    failure policy, journal, shard, stealing).  ``jobs=1`` runs the
-    units serially in-process (the deterministic fallback); ``jobs>1``
-    fans out over the configured backend and gathers results by key.
-
-    The pre-executor ``jobs=`` keyword has been removed; passing it
-    raises :class:`TypeError` naming the ``GridOptions(jobs=...)``
-    replacement.
+    failure policy, journal, batching).  ``jobs=1`` runs the units
+    serially in-process (the deterministic fallback); ``jobs>1`` fans
+    out over the configured backend and gathers results by key.
 
     With the default ``failures="raise"`` a worker exception propagates
     to the caller, reconstructed from its serialized payload.
     """
-    opts = merge_legacy_kwargs(
-        options,
-        {"jobs": jobs},
-        where="run_grid",
-        factory=GridOptions,
-    )
+    opts = options if options is not None else GridOptions()
     tasks = [_as_task(unit) for unit in units]
     seen: set[str] = set()
     for task in tasks:
@@ -429,26 +353,6 @@ def run_grid(
     if resumed:
         timing.add(f"grid.{label}.resumed", resumed)
         timing.add("grid.resumed_units", resumed)
-
-    shard = parse_shard(opts.shard)
-    if shard is not None:
-        k, n = shard
-        skipped = 0
-        for index in sorted(pending):
-            task = pending[index]
-            if not shard_owns(task.key, k, n):
-                # an inert placeholder: not journalled, not collected —
-                # the merge run re-runs (or resumes) these units
-                results[index] = GridFailure(
-                    key=task.key,
-                    error_type="ShardSkipped",
-                    message=f"unit not owned by shard {k}/{n}",
-                )
-                del pending[index]
-                skipped += 1
-        if skipped:
-            timing.add(f"grid.{label}.shard_skipped", skipped)
-            timing.add("grid.shard_skipped", skipped)
 
     # batched dispatch: fold pending units sharing a batch_key into
     # composite run_batch tasks; slots, journal entries and failures
@@ -494,10 +398,10 @@ def run_grid(
             timing.add(f"grid.{label}.batched_units", batched_units)
             timing.add("grid.batched_units", batched_units)
 
-    def record_ok(index: int, value, wall_s: float, by: str = "") -> None:
+    def record_ok(index: int, value, wall_s: float) -> None:
         results[index] = value
         if journal is not None:
-            journal.record_ok(tasks[index].key, value, wall_s, by=by)
+            journal.record_ok(tasks[index].key, value, wall_s)
 
     def record_failure(index: int, payload, wall_s, attempts) -> None:
         task = tasks[index]
@@ -526,8 +430,6 @@ def run_grid(
     label_slices = {
         "grid.pool_rebuilds": f"grid.{label}.pool_rebuilds",
         "grid.retried_units": f"grid.{label}.retries",
-        "grid.adopted_units": f"grid.{label}.adopted",
-        "grid.stolen_units": f"grid.{label}.stolen",
     }
     before = (
         {name: timing.counter(name) for name in label_slices}
@@ -541,30 +443,19 @@ def run_grid(
             backend.submit(task, timeout)
             outstanding[task.key] = index
 
-        walls: list[float] = []
-        stolen: set[str] = set()
         while outstanding:
-            event = backend.next_event(timeout=POLL)
+            event = backend.next_event()
             if event is None:
-                if opts.steal:
-                    _maybe_steal(
-                        backend, outstanding, pending, walls, stolen, timeout
-                    )
                 continue
             index = outstanding.pop(event.key, None)
             if index is None:
-                continue  # stale: a steal loser or an aborted run's echo
+                continue  # stale: an aborted run's echo on a shared backend
             if event.metrics is not None:
                 timing.merge(event.metrics)
-            walls.append(event.wall_s)
-            if event.key in stolen:
-                backend.cancel(event.key)  # drop the losing queued copy
             members = composite_members.get(event.key)
             if members is None:
                 if event.ok:
-                    record_ok(
-                        index, event.value, event.wall_s, by=event.worker
-                    )
+                    record_ok(index, event.value, event.wall_s)
                 else:
                     record_failure(
                         index, event.value, event.wall_s, event.attempts
@@ -592,7 +483,7 @@ def run_grid(
                 continue
             for member_index, (status, value) in zip(members, payloads):
                 if status == "ok":
-                    record_ok(member_index, value, share, by=event.worker)
+                    record_ok(member_index, value, share)
                 else:
                     record_failure(member_index, value, share, event.attempts)
     except BaseException:
@@ -612,34 +503,6 @@ def run_grid(
         if owned:
             backend.close()
     return results
-
-
-def _maybe_steal(backend, outstanding, pending, walls, stolen, timeout):
-    """One work-stealing tick: at most one straggler is resubmitted.
-
-    Deterministic by construction: a stolen key yields two completion
-    events carrying the *same* deterministic unit value; the façade
-    keeps whichever arrives first and the result tables cannot tell.
-    """
-    if len(walls) < STEAL_MIN_SAMPLES:
-        return
-    probe = backend.probe()
-    if probe.idle <= 0:
-        return
-    threshold = max(_percentile_90(walls) * STEAL_FACTOR, STEAL_FLOOR)
-    tasks_by_key = {task.key: task for task in pending.values()}
-    for key, elapsed in sorted(
-        backend.running().items(), key=lambda item: -item[1]
-    ):
-        if elapsed <= threshold or key in stolen or key not in outstanding:
-            continue
-        task = tasks_by_key.get(key)
-        if task is None:
-            continue
-        backend.submit(task, timeout)
-        stolen.add(key)
-        timing.add("grid.stolen_units")
-        return
 
 
 def _drain(backend, outstanding, patience: float = 2.0):

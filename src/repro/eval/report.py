@@ -8,10 +8,8 @@ sweep fast; pass ``--scale 1.0`` for the classic Livermore sizes.
 The harness is performance-instrumented and fault-tolerant: independent
 (kernel × strategy × target) work units fan out across a pluggable
 execution backend (``--jobs``/``REPRO_JOBS`` over the local pool by
-default; ``--executor socket:HOST:PORT`` runs them on ``repro worker``
-processes anywhere on the network, ``--shard K/N`` splits one report
-across coordinators; ``--jobs 1`` is the deterministic serial fallback —
-table values and checksums are identical at any job count and backend),
+default; ``--jobs 1`` is the deterministic serial fallback — table
+values and checksums are identical at any job count and backend),
 each unit runs under an optional wall-clock budget
 (``--timeout``/``REPRO_UNIT_TIMEOUT``), crashed workers are retried with
 a rebuilt pool, and failed units render as FAILED cells instead of
@@ -121,19 +119,16 @@ def generate_report(
     timeout: float | None = None,
     resume: str | None = None,
     executor: str | Executor | None = None,
-    shard: str | None = None,
     batch: int | None = None,
 ) -> ReportResult:
     """Run every experiment; never raises for a failed work unit.
 
     ``resume`` names a journal file: completed units are checkpointed
     there and reused by the next run.  ``timeout`` bounds each unit's
-    wall clock.  ``executor`` picks the grid backend (a spec string like
-    ``"socket:0.0.0.0:7777"``, or a live Executor to reuse) — one
+    wall clock.  ``executor`` picks the grid backend (a spec string,
+    ``"local"`` or ``"inprocess"``, or a live Executor to reuse) — one
     backend serves every section, so its workers stay warm from table to
-    table.  ``shard="K/N"`` runs only this run's slice of every grid;
-    point the shards at one shared journal and finish with an unsharded
-    resume run to merge.  ``batch`` routes up to that many same-(target,
+    table.  ``batch`` routes up to that many same-(target,
     strategy) units through one worker task (``None``: ``REPRO_BATCH``).
     Inspect ``.failures`` (and exit nonzero) on a degraded run.
     """
@@ -158,7 +153,6 @@ def generate_report(
         failures="collect",
         journal=journal,
         executor=backend,
-        shard=shard,
         collector=collector,
         batch=batch,
     )
@@ -309,7 +303,6 @@ def generate_report(
         grid_info = {
             "backend": backend.backend if backend is not None else "inprocess",
             "workers": jobs,
-            "shard": shard,
         }
         bench = _bench_payload(
             scale,
@@ -430,7 +423,7 @@ def _bench_payload(
     stall_data=None,
     grid_info: dict | None = None,
 ) -> dict:
-    """The machine-readable BENCH_eval.json payload (schema v10)."""
+    """The machine-readable BENCH_eval.json payload (schema v11)."""
     runs = [
         run
         for by_strategy in table4_data.runs.values()
@@ -445,7 +438,7 @@ def _bench_payload(
     store = get_cache()
     grid_info = dict(grid_info or {})
     payload = {
-        "schema": 10,
+        "schema": 11,
         "scale": scale,
         "jobs": jobs,
         "wall_seconds": {
@@ -556,10 +549,6 @@ def _bench_payload(
         "grid": {
             "backend": grid_info.get("backend", "inprocess"),
             "workers": grid_info.get("workers", jobs),
-            "shard": grid_info.get("shard"),
-            "shard_skipped": timing.counter("grid.shard_skipped"),
-            "stolen_units": timing.counter("grid.stolen_units"),
-            "adopted_units": timing.counter("grid.adopted_units"),
         },
         "fault_tolerance": {
             "failed_units": len(failures),
@@ -610,18 +599,8 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor",
         default=None,
         metavar="SPEC",
-        help="evaluation-grid backend: 'local' (process pool), "
-        "'inprocess' (serial), 'socket' (spawn local TCP workers), or "
-        "'socket:HOST:PORT' (listen for external `repro worker` "
-        "processes); default: local pool for --jobs > 1",
-    )
-    parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/N",
-        help="run only shard K of N (keys are hashed to shards; pair "
-        "with a shared --resume journal and merge with a final "
-        "unsharded resume run)",
+        help="evaluation-grid backend: 'local' (process pool) or "
+        "'inprocess' (serial); default: local pool for --jobs > 1",
     )
     parser.add_argument(
         "--resume",
@@ -695,7 +674,6 @@ def run_report_command(arguments, bench_default: str | None) -> int:
             timeout=arguments.timeout,
             resume=resume,
             executor=getattr(arguments, "executor", None),
-            shard=getattr(arguments, "shard", None),
             batch=getattr(arguments, "batch", None),
         )
     serve_bench = getattr(arguments, "serve_bench", "")

@@ -7,52 +7,14 @@
 between threads, used as a dict key, and journalled — and every layer of
 the back end threads the *same* object through instead of re-plumbing
 individual keywords.
-
-The legacy keywords were deprecated through 1.1 and have graduated:
-passing one now raises :class:`TypeError` naming the replacement (see
-:func:`merge_legacy_kwargs`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 from repro.errors import MarionError
-
-#: sentinel distinguishing "keyword not passed" from any real value
-UNSET = object()
-
-#: process-wide default for :attr:`SimOptions.fast_timing`, read once at
-#: import.  ``REPRO_FAST_TIMING=0`` forces the reference interleaved
-#: timing path for every run that does not set the field explicitly —
-#: CI's cross-validation job runs the suite under both values.
-_FAST_TIMING_DEFAULT = os.environ.get(
-    "REPRO_FAST_TIMING", "1"
-).lower() not in ("0", "false", "off", "no")
-
-#: process-wide default for :attr:`SimOptions.jit`, read once at import.
-#: ``REPRO_JIT=0`` keeps every run on the closure interpreter — CI's
-#: cross-validation job runs the differential suite under both values.
-_JIT_DEFAULT = os.environ.get(
-    "REPRO_JIT", "1"
-).lower() not in ("0", "false", "off", "no")
-
-#: process-wide default for :attr:`SimOptions.superblock`, read once at
-#: import.  ``REPRO_SUPERBLOCK=0`` keeps the JIT at straight-line
-#: segments (no trace superblocks) — CI cross-validates both values.
-_SUPERBLOCK_DEFAULT = os.environ.get(
-    "REPRO_SUPERBLOCK", "1"
-).lower() not in ("0", "false", "off", "no")
-
-#: process-wide default for :attr:`SimOptions.timing_chain`, read once
-#: at import.  ``REPRO_TIMING_CHAIN=0`` makes every segment boundary go
-#: through :meth:`BlockTimingCache.close` instead of the inline
-#: transition tables — CI cross-validates both values.
-_TIMING_CHAIN_DEFAULT = os.environ.get(
-    "REPRO_TIMING_CHAIN", "1"
-).lower() not in ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)
@@ -114,35 +76,22 @@ class SimOptions:
     * ``fast_timing`` — consult the pipeline model through the memoized
       block-timing cache (:mod:`repro.sim.blockcache`), which returns
       bit-identical cycle counts while skipping the per-instruction
-      hazard walk for repeated basic blocks.  The simulator falls back
-      to the reference interleaved path automatically whenever the run
-      needs per-instruction timing: ``trace=True`` (the accounting model
-      attributes every cycle), an armed ``max_cycles`` watchdog (its
-      raise point is cycle-exact), or a ``watch=`` callback (it receives
-      per-instruction issue cycles);
+      hazard walk for repeated basic blocks.  ``fast_timing=False``
+      selects the reference interleaved path, the oracle the fast path
+      is tested against.  The simulator also takes the reference path
+      automatically whenever the run needs per-instruction timing: an
+      armed ``max_cycles`` watchdog (its raise point is cycle-exact) or
+      a ``watch=`` callback (it receives per-instruction issue cycles);
     * ``jit`` — compile hot straight-line segments to specialized Python
       (:mod:`repro.sim.jit`) once they cross the warmup threshold.
       Bit-identical to the interpreter (guarded deopt re-executes
       anything uncovered); only active on the fast-timing path, so runs
-      that need per-instruction observation (``trace=True``, ``watch=``,
-      ``max_cycles``) are automatically interpreted.  ``REPRO_JIT=0``
-      turns it off process-wide.
-    * ``superblock`` — let the segment JIT stitch hot multi-segment
-      traces (loop nests, if-diamonds) into single compiled superblocks
-      with the block-timing probe inlined, so steady-state loop
-      iterations never return to the dispatch loop.  Bit-identical to
-      plain segments (a superblock closes exactly the same per-segment
-      timing units in the same order); only meaningful with ``jit=True``
-      on the fast-timing path.  ``REPRO_SUPERBLOCK=0`` turns it off
-      process-wide.
-    * ``timing_chain`` — hand generated code (and chained loops inside
-      it) the block-timing memo's per-segment *transition tables*, so a
-      warm segment boundary commits timing with one integer-tuple dict
-      lookup and no call back into
-      :class:`~repro.sim.blockcache.BlockTimingCache`.  With it off,
-      every boundary takes the ``close()`` call path instead — same
-      memo, same records, bit-identical results, just slower.
-      ``REPRO_TIMING_CHAIN=0`` turns it off process-wide.
+      that need per-instruction observation (``watch=``, ``max_cycles``)
+      are automatically interpreted.  Hot multi-segment traces (loop
+      nests, if-diamonds) are stitched into superblocks, and warm
+      segment boundaries commit timing through the block-timing memo's
+      inline transition tables.  ``jit=False`` is the JIT's own
+      baseline: the closure interpreter on the same fast-timing loop.
     """
 
     cache: object = None
@@ -150,46 +99,10 @@ class SimOptions:
     max_instructions: int = 50_000_000
     max_cycles: int | None = None
     trace: bool = False
-    fast_timing: bool = _FAST_TIMING_DEFAULT
-    jit: bool = _JIT_DEFAULT
-    superblock: bool = _SUPERBLOCK_DEFAULT
-    timing_chain: bool = _TIMING_CHAIN_DEFAULT
+    fast_timing: bool = True
+    jit: bool = True
 
     def replace(self, **changes) -> "SimOptions":
         """A copy with the given fields changed (frozen-friendly)."""
         return dataclasses.replace(self, **changes)
 
-
-def merge_legacy_kwargs(
-    options,
-    legacy: dict,
-    *,
-    where: str,
-    factory=CompileOptions,
-):
-    """Reject the pre-1.1 (legacy-keyword) call styles, helpfully.
-
-    ``legacy`` maps keyword name to value for every keyword the caller
-    actually passed (values equal to :data:`UNSET` are dropped here).
-    The legacy spellings were deprecated through 1.1 and have now
-    graduated: any use raises :class:`TypeError` naming the
-    replacement.  The keywords stay in the public signatures only so
-    old call sites get this message instead of a generic
-    "unexpected keyword argument".  ``factory`` selects the record type
-    — :class:`CompileOptions` (default) or :class:`SimOptions`.
-    """
-    passed = sorted(k for k, v in legacy.items() if v is not UNSET)
-    if factory is CompileOptions and isinstance(options, str):
-        # old positional strategy argument
-        raise TypeError(
-            f"{where}: a positional strategy string is no longer "
-            f"accepted; pass options=CompileOptions(strategy="
-            f"{options!r}) instead"
-        )
-    if passed:
-        raise TypeError(
-            f"{where}: the {', '.join(passed)} keyword(s) were removed; "
-            f"pass options={factory.__name__}"
-            f"({', '.join(f'{name}=...' for name in passed)}) instead"
-        )
-    return options if options is not None else factory()

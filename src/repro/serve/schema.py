@@ -56,8 +56,6 @@ _SIM_FIELDS: dict[str, tuple] = {
     "trace": (bool,),
     "fast_timing": (bool,),
     "jit": (bool,),
-    "superblock": (bool,),
-    "timing_chain": (bool,),
 }
 
 

@@ -8,7 +8,7 @@ One :class:`Service` owns
   warmed its target cache and keeps its workers alive across requests,
   so request N+1 never pays the cold-start tax request N already paid;
   any backend spec the evaluation grid accepts works here too
-  (``inprocess``, ``local``, ``socket[:HOST:PORT]``);
+  (``inprocess``, ``local``);
 * a drain thread that streams completion events off the executor and
   resolves per-request futures on the event loop;
 * the **in-flight dedup map**: identical requests (same
@@ -68,8 +68,8 @@ class ServeOptions:
       printed on startup);
     * ``workers`` — worker-pool size (``None``: ``REPRO_JOBS`` or cpu
       count);
-    * ``executor`` — backend spec (``"local"`` default, ``"inprocess"``,
-      ``"socket"``, ``"socket:HOST:PORT"``) or a live
+    * ``executor`` — backend spec (``"local"`` default or
+      ``"inprocess"``) or a live
       :class:`~repro.eval.executors.base.Executor` to reuse (left open
       on shutdown);
     * ``request_timeout`` — default per-request deadline in seconds; a

@@ -15,7 +15,7 @@ from repro.backend.insts import MachineInstr
 import repro.cache as artifact_cache
 from repro.errors import SimulationError, SimulationTimeout
 import repro.obs as obs
-from repro.options import UNSET, SimOptions, merge_legacy_kwargs
+from repro.options import SimOptions
 from repro.program import Executable
 from repro.sim.blockcache import SEGMENT_CAP, BlockTimingCache, decode_blocks
 from repro.sim.cache import DirectMappedCache
@@ -84,15 +84,15 @@ def _accounted_close(real_close, totals):
     return close
 
 
-#: shared empty transition table for ``timing_chain=False`` runs
+#: shared empty transition table for ``trace=True`` runs
 _EMPTY_TRANSITIONS: dict = {}
 
 
 def _cold_tables(entry, end, transfer, _empty=_EMPTY_TRANSITIONS):
-    """Transition-table accessor handed to generated code when the
-    timing chain is disabled: every inline probe misses into a shared
-    empty table, so each boundary takes the ``close()`` path instead —
-    same memo, same records, bit-identical results, just slower."""
+    """Transition-table accessor handed to generated code on
+    ``trace=True`` runs: every inline probe misses into a shared empty
+    table, so each boundary takes the (accounting) ``close()`` path —
+    same memo, same records, bit-identical cycle counts."""
     return _empty
 
 
@@ -144,7 +144,7 @@ class SimResult:
     jit_hits: int = 0
     jit_deopts: int = 0
     #: trace-superblock activity this run (zero when the run took the
-    #: reference path or ``SimOptions(superblock=False)``): traces newly
+    #: reference path or ``SimOptions(jit=False)``): traces newly
     #: compiled and side exits taken out of compiled traces
     jit_superblocks: int = 0
     jit_side_exits: int = 0
@@ -188,16 +188,9 @@ class Simulator:
         self,
         executable: Executable,
         options: SimOptions | None = None,
-        *,
-        cache=UNSET,
-        model_timing=UNSET,
     ):
-        options = merge_legacy_kwargs(
-            options,
-            {"cache": cache, "model_timing": model_timing},
-            where="Simulator",
-            factory=SimOptions,
-        )
+        if options is None:
+            options = SimOptions()
         self.executable = executable
         self.target = executable.target
         self.options = options
@@ -234,9 +227,6 @@ class Simulator:
         arg_types: tuple | None = None,
         options: SimOptions | None = None,
         *,
-        max_instructions=UNSET,
-        max_cycles=UNSET,
-        trace=UNSET,
         watch=None,
     ) -> SimResult:
         """Run ``function`` under one :class:`SimOptions` record.
@@ -252,32 +242,9 @@ class Simulator:
 
         ``watch``, if given, is called as ``watch(pc, instr, cycle)``
         after every executed instruction (cycle is 0 when timing is off)
-        — a debugging hook for watching generated code execute.  The
-        pre-1.1 spellings (``max_instructions=``/``max_cycles=``
-        keywords, ``trace=`` for the watch callback) have been removed
-        and raise :class:`TypeError` naming the replacement.
+        — a debugging hook for watching generated code execute.
         """
         run_options = options if options is not None else self.options
-        legacy = sorted(
-            name
-            for name, value in (
-                ("max_instructions", max_instructions),
-                ("max_cycles", max_cycles),
-            )
-            if value is not UNSET
-        )
-        if legacy:
-            raise TypeError(
-                f"Simulator.run: the {', '.join(legacy)} keyword(s) were"
-                " removed; pass options=SimOptions("
-                f"{', '.join(f'{name}=...' for name in legacy)}) instead"
-            )
-        if trace is not UNSET:
-            raise TypeError(
-                "Simulator.run: the trace= callback keyword was removed;"
-                " pass watch=callback (or options=SimOptions(trace=True)"
-                " for stall accounting) instead"
-            )
         cache = self.cache if options is None else _resolve_cache(
             run_options.cache
         )
@@ -658,14 +625,9 @@ class Simulator:
             start_hits = block_cache.hits
             start_misses = block_cache.misses
             start_digests = block_cache.digests_computed
-            # transition tables handed to generated code: the real
-            # per-segment tables when the chain is on, a shared empty
-            # table (every probe misses into close()) when it is off
-            trans_tables = (
-                block_cache.transitions
-                if options.timing_chain
-                else _cold_tables
-            )
+            # transition tables handed to generated code: a warm segment
+            # boundary commits timing with one inline dict lookup
+            trans_tables = block_cache.transitions
             if tracing:
                 # stall attribution: every boundary must funnel through
                 # the accounting close (inline probe commits would skip
@@ -724,7 +686,6 @@ class Simulator:
         jit_active_before = jit.active_segments() if jit is not None else 0
         # trace-superblock dispatch state: the edge profile feeds trace
         # selection
-        sb_on = options.superblock and jit is not None
         sb_edges = jit.edges if jit is not None else None
         sb_sites = jit.edge_sites if jit is not None else None
         sb_exits_run = 0
@@ -752,11 +713,6 @@ class Simulator:
                 record = jit_table.get(pc, _MISS)
                 if record is _MISS:
                     record = jit.warm(pc, jit_cached)
-                if record is not None and record[2] and not sb_on:
-                    # the entry was promoted into a trace, but this run
-                    # has superblocks off: use the plain segment record
-                    # the promotion stashed (or stay interpreted)
-                    record = jit.segment_fallback(pc, jit_cached)
                 if record is not None and (
                     executed + record[1] <= max_instructions
                 ):
@@ -862,7 +818,7 @@ class Simulator:
                                     function=function,
                                     cycle=virtual_issue + 1,
                                 )
-                            if jit_kind == 1 and sb_on:
+                            if jit_kind == 1:
                                 # profile the taken edge until its
                                 # promotion decision; a hot edge
                                 # triggers one trace-selection attempt
@@ -1134,23 +1090,7 @@ def run_program(
     function: str,
     args: tuple = (),
     options: SimOptions | None = None,
-    *,
-    cache=UNSET,
-    model_timing=UNSET,
-    max_instructions=UNSET,
-    max_cycles=UNSET,
 ) -> SimResult:
     """One-shot convenience wrapper around :class:`Simulator`."""
-    options = merge_legacy_kwargs(
-        options,
-        {
-            "cache": cache,
-            "model_timing": model_timing,
-            "max_instructions": max_instructions,
-            "max_cycles": max_cycles,
-        },
-        where="run_program",
-        factory=SimOptions,
-    )
     simulator = Simulator(executable, options)
     return simulator.run(function, args)

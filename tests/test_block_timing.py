@@ -1,11 +1,13 @@
-"""Cross-validation and unit tests for the memoized block-timing path.
+"""Block-timing memo tests, and the default fast path's differential sweep.
 
-The fast path (:mod:`repro.sim.blockcache`) must be *bit-identical* to
-the reference interleaved execute+time loop — not approximately equal —
-so the core of this file simulates the same compiled kernels under both
-paths and compares every observable field.  CI runs the whole test
-module twice, once with ``REPRO_FAST_TIMING=1`` and once with ``=0``,
-so the process-wide default cannot mask a broken explicit flag.
+The default fast path (:mod:`repro.sim.blockcache` timing with the
+segment JIT, its trace superblocks and inline transition-table probes)
+must be *bit-identical* to the reference interleaved execute+time loop
+(``SimOptions(fast_timing=False)``).  The sweep below checks it on every
+target × strategy cell through the shared harness in
+:mod:`tests.differential`; ``tests/test_jit.py`` checks the ``jit=False``
+runs and ``tests/test_timing_chain.py`` the ``trace=True`` runs of the
+same cells.
 """
 
 import pytest
@@ -23,34 +25,18 @@ from repro.sim.blockcache import (
 from repro.sim.cache import DirectMappedCache
 from repro.sim.pipeline import PipelineModel
 
+from tests.differential import STRATEGIES, TARGETS, check_against_reference
 from tests.helpers import build as instr
 
 import repro
 from repro.workloads import kernel_by_id
 
-TARGETS = ("toyp", "r2000", "m88000", "i860")
-STRATEGIES = ("postpass", "ips", "rase")
 
-#: every observable a fast run must reproduce bit-for-bit
-COMPARED_FIELDS = (
-    "cycles",
-    "instructions",
-    "loads",
-    "stores",
-    "cache_hits",
-    "cache_misses",
-    "block_counts",
-    "return_value",
-)
-
-
-def _simulate(executable, spec, *, fast, scale=0.03, cache=True, **extra):
+def _simulate(executable, spec, *, fast, scale=0.03, **extra):
     loop, n = spec.args
     n = max(4, int(n * scale))
     options = repro.SimOptions(
-        cache=DirectMappedCache() if cache else None,
-        fast_timing=fast,
-        **extra,
+        cache=DirectMappedCache(), fast_timing=fast, **extra
     )
     return repro.simulate(executable, "bench", args=(loop, n), options=options)
 
@@ -64,43 +50,41 @@ def _compile(spec, target, strategy):
         pytest.skip(f"{target}/{strategy} does not compile K{spec.id}: {error}")
 
 
-# -- cross-validation ---------------------------------------------------------
+# -- the differential sweep ---------------------------------------------------
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("target", TARGETS)
 def test_fast_path_bit_identical_k1(target, strategy):
-    spec = kernel_by_id(1)
-    executable = _compile(spec, target, strategy)
-    fast = _simulate(executable, spec, fast=True)
-    reference = _simulate(executable, spec, fast=False)
-    for field in COMPARED_FIELDS:
-        assert getattr(fast, field) == getattr(reference, field), field
-    # the fast run actually took the fast path, the reference did not
-    assert fast.block_cache_hits + fast.block_cache_misses > 0
-    assert reference.block_cache_hits == reference.block_cache_misses == 0
+    check_against_reference("default", 1, target, strategy)
 
 
 @pytest.mark.parametrize("target", ("r2000", "i860"))
 def test_fast_path_bit_identical_k7(target):
     # K7 (equation of state) has a wider loop body than K1 — more live
-    # producers across the back edge, a harder digest case
-    spec = kernel_by_id(7)
-    executable = _compile(spec, target, "postpass")
-    fast = _simulate(executable, spec, fast=True)
-    reference = _simulate(executable, spec, fast=False)
-    for field in COMPARED_FIELDS:
-        assert getattr(fast, field) == getattr(reference, field), field
+    # producers across the back edge, a harder digest case, and on the
+    # i860 temporal (EAP) sub-operations the JIT must refuse without
+    # perturbing the interpreted result
+    check_against_reference("default", 7, target)
 
 
 @pytest.mark.parametrize("target", ("toyp", "i860"))
 def test_fast_path_bit_identical_without_cache(target):
-    spec = kernel_by_id(1)
-    executable = _compile(spec, target, "postpass")
-    fast = _simulate(executable, spec, fast=True, cache=False)
-    reference = _simulate(executable, spec, fast=False, cache=False)
-    for field in COMPARED_FIELDS:
-        assert getattr(fast, field) == getattr(reference, field), field
+    # the no-cache JIT table elides the access()/miss-mask bookkeeping,
+    # so it is a distinct generated function that needs its own check
+    check_against_reference("default", 1, target, cache=False)
+
+
+@pytest.mark.parametrize("target", ("r2000", "m88000"))
+def test_fast_path_bit_identical_without_timing(target):
+    # model_timing=False runs share the fast loop (and the JIT) with the
+    # block close stubbed out; cycles must equal the instruction count
+    # exactly as on the reference path
+    run = check_against_reference("default", 1, target, model_timing=False)
+    assert run.cycles == run.instructions
+
+
+# -- memo behaviour -----------------------------------------------------------
 
 
 def test_steady_state_hit_rate():

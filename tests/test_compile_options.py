@@ -1,5 +1,5 @@
-"""The consolidated :class:`repro.CompileOptions` record and the
-deprecation shim that keeps the pre-1.1 keyword spellings working."""
+"""The consolidated :class:`repro.CompileOptions` record, and the removed
+pre-1.1 keyword spellings raising :class:`TypeError`."""
 
 import dataclasses
 
@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.backend.codegen import CodeGenerator
 from repro.backend.strategies import get_strategy
-from repro.options import CompileOptions, merge_legacy_kwargs
+from repro.options import CompileOptions
 
 SOURCE = """
 int bench(int n) {
@@ -61,17 +61,12 @@ def test_exported_at_top_level():
     assert repro.CompileOptions is CompileOptions
 
 
-# -- the graduated legacy spellings ----------------------------------------
-
-
-def test_compile_c_legacy_kwargs_raise_naming_replacement():
-    with pytest.raises(TypeError, match=r"CompileOptions\(strategy=\.\.\.\)"):
-        repro.compile_c(SOURCE, "r2000", strategy="rase")
+# -- the removed legacy spellings --------------------------------------------
 
 
 def test_compile_c_positional_strategy_string_raises():
     with pytest.raises(
-        TypeError, match="no longer accepted.*CompileOptions"
+        TypeError, match="options must be a CompileOptions, not str"
     ):
         repro.compile_c(SOURCE, "r2000", "ips")
 
@@ -79,13 +74,6 @@ def test_compile_c_positional_strategy_string_raises():
 def test_compile_c_rejects_options_plus_legacy_kwargs():
     with pytest.raises(TypeError, match="strategy"):
         repro.compile_c(SOURCE, "r2000", CompileOptions(), strategy="rase")
-
-
-def test_compile_c_legacy_error_names_every_kwarg():
-    with pytest.raises(TypeError, match="heuristic, schedule"):
-        repro.compile_c(
-            SOURCE, "r2000", heuristic="fifo", schedule=False
-        )
 
 
 def test_compile_c_modern_call_does_not_warn(recwarn):
@@ -121,12 +109,6 @@ def test_get_strategy_builds_options_when_missing():
     )
     assert strategy.heuristic == "fifo"
     assert strategy.schedule_enabled is False
-
-
-def test_merge_legacy_kwargs_no_legacy_passes_options_through():
-    options = CompileOptions(strategy="rase")
-    assert merge_legacy_kwargs(options, {}, where="f") is options
-    assert merge_legacy_kwargs(None, {}, where="f") == CompileOptions()
 
 
 def test_memory_size_reaches_the_linker():

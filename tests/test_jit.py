@@ -2,11 +2,11 @@
 
 The JIT path (:mod:`repro.sim.jit`) must be *bit-identical* to the
 closure interpreter — cycles, checksums, memory/cache statistics and
-dynamic block counts, not approximately equal — so the core of this
-file simulates the same compiled kernels with the JIT on and off and
-compares every observable field.  CI runs the whole module twice, once
-with ``REPRO_JIT=1`` and once with ``=0``, so the process-wide default
-cannot mask a broken explicit flag.
+dynamic block counts, not approximately equal.  The sweep here checks
+the ``jit=False`` run of every cell in the shared differential harness
+(:mod:`tests.differential`) against the reference timing path and, for
+the memo counters, against the JIT-on default run; the rest of the file
+covers warmup, refusal, deopt and blacklist.
 """
 
 import pytest
@@ -14,28 +14,10 @@ import pytest
 import repro
 from repro.errors import MarionError, SimulationError
 from repro.sim.cache import DirectMappedCache
-from repro.sim.jit import JIT_WARMUP, MAX_DEOPTS, SegmentJIT
+from repro.sim.jit import MAX_DEOPTS, SegmentJIT
 from repro.workloads import kernel_by_id
 
-TARGETS = ("toyp", "r2000", "m88000", "i860")
-STRATEGIES = ("postpass", "ips", "rase")
-
-#: every observable a JIT run must reproduce bit-for-bit.  The
-#: block-timing stats are included deliberately: identical hit counts
-#: mean the JIT produced the same segment close keys and the same
-#: positional event stream as the interpreter.
-COMPARED_FIELDS = (
-    "cycles",
-    "instructions",
-    "loads",
-    "stores",
-    "cache_hits",
-    "cache_misses",
-    "block_counts",
-    "return_value",
-    "block_cache_hits",
-    "block_cache_misses",
-)
+from tests.differential import STRATEGIES, TARGETS, check_against_reference
 
 #: low warmup so the scaled-down test kernels still compile their loops
 WARMUP = 2
@@ -59,36 +41,23 @@ def _simulate(executable, spec, *, jit, scale=0.03, cache=True, **extra):
     return repro.simulate(executable, "bench", args=(loop, n), options=options)
 
 
-def _differential(spec, target, strategy, *, cache=True, scale=0.03):
-    """Interpreted then JIT run of one kernel; both results.
-
-    The block-timing memo and the JIT state live on the executable, so
-    the memo is dropped between the runs (otherwise the second run sees
-    more memo hits) and the JIT is seeded fresh with a low warmup."""
-    executable = _compile(spec, target, strategy)
-    reference = _simulate(executable, spec, jit=False, cache=cache, scale=scale)
-    if hasattr(executable, "_block_timing"):
-        del executable._block_timing
-    executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    jitted = _simulate(executable, spec, jit=True, cache=cache, scale=scale)
-    return reference, jitted
-
-
 # -- cross-validation ---------------------------------------------------------
+
+
+def _check_interpreted(kernel, target, strategy="postpass", **variant):
+    """The ``jit=False`` run matches the reference and the JIT-on run;
+    only the JIT-on run executed compiled segments."""
+    interpreted = check_against_reference(
+        "interpreted", kernel, target, strategy, **variant
+    )
+    assert interpreted.jit_hits == interpreted.jit_segments == 0
+    return interpreted
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("target", TARGETS)
 def test_jit_bit_identical_k1(target, strategy):
-    spec = kernel_by_id(1)
-    reference, jitted = _differential(spec, target, strategy)
-    for field in COMPARED_FIELDS:
-        assert getattr(jitted, field) == getattr(reference, field), field
-    # the JIT run actually executed compiled segments; the reference
-    # run never touched the JIT
-    assert jitted.jit_hits > 0
-    assert jitted.jit_segments > 0
-    assert reference.jit_segments == reference.jit_hits == 0
+    _check_interpreted(1, target, strategy)
 
 
 @pytest.mark.parametrize("target", ("r2000", "i860"))
@@ -96,22 +65,14 @@ def test_jit_bit_identical_k7(target):
     # K7 (equation of state) has a wider loop body than K1: more views
     # per segment, and on i860 temporal (EAP) sub-operations that the
     # translator must refuse without perturbing the interpreted result
-    spec = kernel_by_id(7)
-    reference, jitted = _differential(spec, target, "postpass")
-    for field in COMPARED_FIELDS:
-        assert getattr(jitted, field) == getattr(reference, field), field
-    assert jitted.jit_hits > 0
+    _check_interpreted(7, target)
 
 
 @pytest.mark.parametrize("target", ("toyp", "i860"))
 def test_jit_bit_identical_without_cache(target):
     # the no-cache table elides the access()/miss-mask bookkeeping, so
     # it is a distinct generated function that needs its own validation
-    spec = kernel_by_id(1)
-    reference, jitted = _differential(spec, target, "postpass", cache=False)
-    for field in COMPARED_FIELDS:
-        assert getattr(jitted, field) == getattr(reference, field), field
-    assert jitted.jit_hits > 0
+    _check_interpreted(1, target, cache=False)
 
 
 @pytest.mark.parametrize("target", ("r2000", "m88000"))
@@ -119,30 +80,8 @@ def test_jit_bit_identical_with_timing_off(target):
     # model_timing=False runs share the fast loop (and the JIT) with the
     # block close stubbed out; cycles must equal the instruction count
     # exactly as on the reference path
-    spec = kernel_by_id(1)
-    reference, jitted = _differential(
-        spec, target, "postpass", cache=True, scale=0.03
-    )
-    executable = _compile(spec, target, "postpass")
-    loop, n = spec.args
-    n = max(4, int(n * 0.03))
-    off = repro.simulate(
-        executable, "bench", args=(loop, n),
-        options=repro.SimOptions(
-            cache=DirectMappedCache(), jit=False, model_timing=False
-        ),
-    )
-    executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    on = repro.simulate(
-        executable, "bench", args=(loop, n),
-        options=repro.SimOptions(
-            cache=DirectMappedCache(), jit=True, model_timing=False
-        ),
-    )
-    assert on.jit_hits > 0
-    for field in COMPARED_FIELDS:
-        assert getattr(on, field) == getattr(off, field), field
-    assert on.cycles == on.instructions == reference.instructions
+    off = _check_interpreted(1, target, model_timing=False)
+    assert off.cycles == off.instructions
 
 
 def test_i860_temporal_segments_stay_interpreted():
@@ -243,17 +182,17 @@ def test_deopt_undoes_partial_block_counts():
 
 
 def test_repeated_deopts_blacklist_the_entry():
-    # superblock=False keeps the loop un-traced: a promoted trace would
-    # raise inline instead of deopting, and this test is specifically
-    # about the plain-segment deopt/blacklist path
+    # five calls per run keep every loop edge below SUPERBLOCK_WARMUP
+    # across all the runs, so no trace is promoted (a trace would raise
+    # inline instead of deopting): this is the plain-segment path
     executable = _compile_source(DIV_TRAP_CALL)
     executable._segment_jit = SegmentJIT(executable, warmup=1)
     jit = executable._segment_jit
 
     def run():
         return repro.simulate(
-            executable, "divcall", args=(30, 10),
-            options=repro.SimOptions(jit=True, superblock=False),
+            executable, "divcall", args=(30, 5),
+            options=repro.SimOptions(jit=True),
         )
 
     for _ in range(MAX_DEOPTS):
@@ -265,6 +204,7 @@ def test_repeated_deopts_blacklist_the_entry():
     with pytest.raises(SimulationError, match="integer division by zero"):
         run()
     assert jit.deopts == MAX_DEOPTS
+    assert jit.superblocks == 0
 
 
 # -- warmup threshold ---------------------------------------------------------
@@ -315,10 +255,6 @@ def test_warmup_accumulates_across_runs():
     third = _run_hot(executable, 15)
     assert third.jit_segments == 0
     assert third.jit_hits > 0
-
-
-def test_default_warmup_matches_env_override():
-    assert JIT_WARMUP >= 1  # sanity: the env override parses to an int
 
 
 # -- interaction with other simulator modes -----------------------------------

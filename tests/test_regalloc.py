@@ -303,3 +303,32 @@ def test_used_callee_saves_reported(r2000):
     reg = result.assignment[saved.id]
     assert reg in r2000.cwvm.callee_save
     assert reg in result.used_callee_save
+
+
+# -- determinism ----------------------------------------------------------------
+
+#: Livermore cells whose coloring once followed set iteration order over
+#: absolute pseudo ids (a process-global counter), so compiling the same
+#: kernel twice in one process could spill a different number of pseudos
+ID_SENSITIVE_CELLS = (
+    ("toyp", "ips", 4),
+    ("toyp", "rase", 8),
+    ("toyp", "ips", 9),
+    ("toyp", "ips", 13),
+    ("toyp", "rase", 13),
+    ("toyp", "ips", 14),
+)
+
+
+@pytest.mark.parametrize("target,strategy,kernel", ID_SENSITIVE_CELLS)
+def test_codegen_does_not_depend_on_earlier_compiles(target, strategy, kernel):
+    import repro
+    from repro.workloads import kernel_by_id
+
+    source = kernel_by_id(kernel).source
+    options = repro.CompileOptions(strategy=strategy)
+    first = repro.compile_c(source, target, options)
+    for _ in range(kernel * 7):  # shift the pseudo ids the next compile gets
+        PseudoReg("int")
+    second = repro.compile_c(source, target, options)
+    assert [str(i) for i in second.instrs] == [str(i) for i in first.instrs]

@@ -62,6 +62,11 @@ def test_options_parser_rejects_unknown_and_ill_typed_fields():
         schema.compile_options_from_json({"strategy": "magic"})
     with pytest.raises(RequestError, match="JSON object"):
         schema.compile_options_from_json([1, 2])
+    # the removed simulator switches are unknown fields, not ignored ones
+    for removed in ("superblock", "timing_chain"):
+        with pytest.raises(RequestError, match="unknown sim field") as err:
+            schema.sim_options_from_json({removed: False})
+        assert err.value.code == "bad_request"
 
 
 def test_parse_request_validation():

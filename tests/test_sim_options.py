@@ -1,4 +1,4 @@
-"""The SimOptions record and the graduated legacy keyword spellings."""
+"""The SimOptions record, and the removed legacy keywords raising TypeError."""
 
 import dataclasses
 
@@ -36,11 +36,11 @@ def test_sim_options_defaults_and_replace():
     assert options.max_cycles is None  # original untouched
 
 
-# -- constructor shim --------------------------------------------------------
+# -- constructor ---------------------------------------------------------------
 
 
 def test_simulator_legacy_kwargs_raise(exe):
-    with pytest.raises(TypeError, match=r"SimOptions\(model_timing=\.\.\.\)"):
+    with pytest.raises(TypeError, match="model_timing"):
         Simulator(exe, model_timing=False)
 
 
@@ -81,12 +81,6 @@ def test_run_legacy_limit_kwargs_raise(exe):
         sim.run("f", (2, 2), max_instructions=10_000)
 
 
-def test_run_legacy_trace_keyword_names_watch(exe):
-    sim = Simulator(exe)
-    with pytest.raises(TypeError, match="watch="):
-        sim.run("f", (2, 2), trace=lambda pc, instr, cycle: None)
-
-
 def test_run_watch_callback(exe):
     sim = Simulator(exe)
     seen = []
@@ -125,12 +119,12 @@ def test_run_program_options(exe):
 
 
 def test_run_program_legacy_kwargs_raise(exe):
-    with pytest.raises(TypeError, match="pass options=SimOptions"):
+    with pytest.raises(TypeError, match="model_timing"):
         run_program(exe, "f", (5, 6), model_timing=False)
 
 
 def test_simulate_legacy_kwargs_raise(exe):
-    with pytest.raises(TypeError, match="pass options=SimOptions"):
+    with pytest.raises(TypeError, match="model_timing"):
         repro.simulate(exe, "f", (1, 1), model_timing=False)
 
 

@@ -1,14 +1,14 @@
 """Tests for the digest-free timing transition chain.
 
-The chain (``SimOptions.timing_chain``) hands generated code the
-block-timing memo's per-segment transition tables so warm boundaries
-commit timing with one integer-tuple dict lookup.  It must be
-*bit-identical* to the ``close()`` call path — same memo, same records —
-under every combination of chain and superblock flags, so the sweep here
-compares all four fast configurations and the reference interleaved
-model on the target × strategy grid.  CI additionally runs the whole
-suite under ``REPRO_TIMING_CHAIN=0`` and ``=1`` so the process-wide
-default cannot mask a broken explicit flag.
+Generated code receives the block-timing memo's per-segment transition
+tables, so warm boundaries commit timing with one integer-tuple dict
+lookup.  The sweep here checks, through the shared differential harness
+(:mod:`tests.differential`), that chained runs — and the memoized stall
+attribution of ``trace=True`` runs — are *bit-identical* to the
+reference interleaved model.  The remaining tests pin the chain's
+contracts: steady state computes no digests, trace and plain runs share
+one memo, and the tables ``close()`` fills are the ones generated code
+probes.
 """
 
 import pytest
@@ -19,30 +19,16 @@ from repro.machine.registers import PhysReg
 from repro.sim.blockcache import BlockTimingCache
 from repro.sim.cache import DirectMappedCache
 
+from tests.differential import (
+    STRATEGIES,
+    TARGETS,
+    check_against_reference,
+    run,
+)
 from tests.helpers import build as instr
 
 import repro
 from repro.workloads import kernel_by_id
-
-TARGETS = ("toyp", "r2000", "m88000", "i860")
-STRATEGIES = ("postpass", "ips", "rase")
-
-#: every observable the chained path must reproduce bit-for-bit.  The
-#: memo counters are included on purpose: a chain-off boundary counts
-#: its hit inside ``close()``, a chain-on boundary inside generated
-#: code, and the totals must still agree exactly.
-COMPARED_FIELDS = (
-    "cycles",
-    "instructions",
-    "loads",
-    "stores",
-    "cache_hits",
-    "cache_misses",
-    "block_counts",
-    "return_value",
-    "block_cache_hits",
-    "block_cache_misses",
-)
 
 
 def _compile(spec, target, strategy):
@@ -54,15 +40,18 @@ def _compile(spec, target, strategy):
         pytest.skip(f"{target}/{strategy} does not compile K{spec.id}: {error}")
 
 
-def _simulate(spec, target, strategy, scale=0.03, **extra):
-    # a fresh executable per run: the timing memo and JIT code cache
-    # live on the executable, so sharing one would let configurations
-    # warm each other up and mask divergence in the memo counters
-    executable = _compile(spec, target, strategy)
-    loop, n = spec.args
-    n = max(4, int(n * scale))
-    options = repro.SimOptions(cache=DirectMappedCache(), **extra)
-    return repro.simulate(executable, "bench", args=(loop, n), options=options)
+def _check_traced(kernel, target, strategy="postpass"):
+    """The ``trace=True`` fast run matches the reference on every
+    observable and reproduces the reference accounting model's
+    breakdown exactly."""
+    traced = check_against_reference("traced", kernel, target, strategy)
+    reference = run(kernel, target, strategy, "reference_traced")
+    assert reference.cycles == run(kernel, target, strategy, "reference").cycles
+    assert traced.cycle_breakdown == reference.cycle_breakdown
+    # the accounting identity survives memoization
+    assert sum(traced.cycle_breakdown.values()) == traced.cycles - 1
+    # ...and the run really consulted the memo
+    assert traced.block_cache_hits + traced.block_cache_misses > 0
 
 
 # -- differential sweep -------------------------------------------------------
@@ -71,48 +60,24 @@ def _simulate(spec, target, strategy, scale=0.03, **extra):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("target", TARGETS)
 def test_chain_bit_identical_grid(target, strategy):
-    """All four (timing_chain × superblock) fast configurations and the
-    reference interleaved model agree on every observable."""
-    spec = kernel_by_id(1)
-    reference = _simulate(spec, target, strategy, fast_timing=False)
-    mismatches = []
-    for chain in (True, False):
-        for superblock in (True, False):
-            run = _simulate(
-                spec, target, strategy,
-                fast_timing=True, jit=True,
-                timing_chain=chain, superblock=superblock,
-            )
-            for field in COMPARED_FIELDS:
-                if field.startswith("block_cache"):
-                    continue  # the reference path never touches the memo
-                if getattr(run, field) != getattr(reference, field):
-                    mismatches.append((chain, superblock, field))
-    assert mismatches == []
-
-
-def test_chain_on_off_share_memo_counters():
-    """Chain on and off produce identical memo hit/miss totals — a
-    chained probe hit is credited exactly like a ``close()`` hit."""
-    spec = kernel_by_id(1)
-    on = _simulate(spec, "r2000", "postpass", timing_chain=True)
-    off = _simulate(spec, "r2000", "postpass", timing_chain=False)
-    for field in COMPARED_FIELDS:
-        assert getattr(on, field) == getattr(off, field), field
-    # both actually took the fast path
-    assert on.block_cache_hits + on.block_cache_misses > 0
+    _check_traced(1, target, strategy)
 
 
 def test_k7_wide_loop_bit_identical():
     # K7 (equation of state) carries more live producers across the back
-    # edge — a harder digest/transition case than K1
-    spec = kernel_by_id(7)
-    reference = _simulate(spec, "r2000", "postpass", fast_timing=False)
-    for chain in (True, False):
-        run = _simulate(spec, "r2000", "postpass", timing_chain=chain)
-        for field in ("cycles", "instructions", "return_value",
-                      "cache_hits", "cache_misses"):
-            assert getattr(run, field) == getattr(reference, field), field
+    # edge — a harder digest/transition case than K1.  Its chained
+    # (JIT-on) boundaries must credit memo hits exactly like the
+    # interpreter's close() calls.
+    chained = check_against_reference("default", 7, "r2000")
+    check_against_reference("interpreted", 7, "r2000")
+    assert chained.block_cache_hits > 0
+
+
+@pytest.mark.parametrize("target", ("r2000", "i860"))
+def test_trace_breakdown_rides_fast_path_bit_identical(target):
+    """``trace=True`` runs take the fast path (records memoize their
+    per-hazard stall deltas) on the wide K7 loop too."""
+    _check_traced(7, target, "ips")
 
 
 # -- steady state is digest-free ----------------------------------------------
@@ -151,26 +116,6 @@ def test_digest_counter_counts_first_visits_only(toyp):
 
 
 # -- memoized stall attribution -----------------------------------------------
-
-
-@pytest.mark.parametrize("target", ("r2000", "i860"))
-def test_trace_breakdown_rides_fast_path_bit_identical(target):
-    """``trace=True`` runs take the fast path (records memoize their
-    per-hazard stall deltas) and reproduce the reference accounting
-    model's breakdown exactly."""
-    spec = kernel_by_id(7)
-    reference = _simulate(
-        spec, target, "ips", fast_timing=False, trace=True
-    )
-    fast = _simulate(spec, target, "ips", trace=True)
-    for field in ("cycles", "instructions", "return_value",
-                  "cache_hits", "cache_misses", "block_counts"):
-        assert getattr(fast, field) == getattr(reference, field), field
-    assert fast.cycle_breakdown == reference.cycle_breakdown
-    # the accounting identity survives memoization
-    assert sum(fast.cycle_breakdown.values()) == fast.cycles - 1
-    # ...and the run really consulted the memo
-    assert fast.block_cache_hits + fast.block_cache_misses > 0
 
 
 def test_warm_trace_run_computes_no_digests():
