@@ -20,6 +20,11 @@ Inside the generated function:
   value is bit-identical — including NaN payloads (floats are never
   held as typed locals because the f32<->f64 conversion can quiet a
   signaling NaN);
+* temporal registers (the i860's EAP latches, ``ast.NameRef``) live in
+  ``tm_<name>`` locals with the interpreter's exact semantics: loaded
+  by ``state.temporal.get(name, default)`` only when read before
+  written, assigned with no numeric conversion, stored back to
+  ``state.temporal`` at the exits that wrote them;
 * memory accesses perform the data-cache tag check (pure shift/mask
   over the cache's preallocated tag array — the same arithmetic
   :meth:`DirectMappedCache.access` runs, inlined), the miss-mask and
@@ -61,24 +66,28 @@ what keeps compiled code bit-identical on/off.  Both shapes share one
 codegen (:class:`_TraceCodegen`; a plain segment is a one-node trace)
 and therefore one dispatch branch in the driver.
 
-Anything the translator does not cover — temporal registers, invalid
-double pairings, control in a delay slot, unallocated operands — is
-refused statically (:class:`Uncompilable`) and that entry permanently
-stays on the interpreter.  Division guards that trip *before* the first
-non-undoable side effect (a real cache access or a memory write) raise
-:class:`JitDeopt`: the caller undoes the block-count increments the
-compiled prefix made, clears the (still unconsumed) event list, and
-re-executes the segment interpreted, which then raises the exact
-interpreter error.  Past the first side effect the generated code raises
-the interpreter's :class:`~repro.errors.SimulationError` directly with
-the same message.  An entry that deopts :data:`MAX_DEOPTS` times is
-blacklisted back to the interpreter.
+Anything the translator does not cover — invalid double pairings,
+control in a delay slot, unallocated operands, a temporal register the
+program writes with a value of the wrong kind — is refused statically
+(:class:`Uncompilable`, with a reason slug :class:`SegmentJIT` counts)
+and that entry permanently stays on the interpreter.  Division guards
+that trip *before* the first non-undoable side effect (a real cache
+access or a memory write) raise :class:`JitDeopt`: the caller undoes the
+block-count increments the compiled prefix made, clears the (still
+unconsumed) event list, and re-executes the segment interpreted, which
+then raises the exact interpreter error.  Past the first side effect the
+generated code raises the interpreter's
+:class:`~repro.errors.SimulationError` directly with the same message.
+An entry that deopts :data:`MAX_DEOPTS` times is blacklisted back to the
+interpreter.
 """
 
 from __future__ import annotations
 
+import functools
 import marshal
 import struct
+from collections import Counter
 from importlib.util import MAGIC_NUMBER
 
 from repro.backend.insts import Imm, Lab, MachineInstr, Reg
@@ -143,7 +152,16 @@ _REL_OPS = frozenset("== != < <= > >=".split())
 
 
 class Uncompilable(Exception):
-    """Static refusal: this segment stays on the closure interpreter."""
+    """Static refusal: this segment stays on the closure interpreter.
+
+    ``reason`` is a short stable slug (``delay-slot-control``,
+    ``double-pairing``, ``unallocated-operand``, ``operator``, ...) that
+    :class:`SegmentJIT` counts per refusal; ``detail`` only feeds the
+    message."""
+
+    def __init__(self, reason: str, detail: str = ""):
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
 
 
 class JitDeopt(Exception):
@@ -214,7 +232,7 @@ def _control_of(stmts: list[ast.Stmt]) -> ast.Stmt | None:
     if not controls:
         return None
     if len(controls) > 1 or controls[0] != len(stmts) - 1:
-        raise Uncompilable("control statement not in tail position")
+        raise Uncompilable("control-not-tail")
     return stmts[-1]
 
 
@@ -227,6 +245,31 @@ class SegmentTranslator:
         self.instrs = executable.instrs
         self.compiler = SemanticsCompiler(executable.target)
         self.block_of, self.block_starts = decode_blocks(executable)
+
+    @functools.cached_property
+    def mixed_temporals(self) -> frozenset[str]:
+        """Temporal registers some instruction of the program writes with
+        a value of another kind (int vs floating) than the declared
+        type.  Such a latch can hold, say, a Python int under a
+        ``double`` static type, which the generated code's elided
+        ``float()`` conversions would not reproduce, so segments that
+        touch it are refused."""
+        mixed = set()
+        for instr in self.instrs:
+            for stmt in _stmts_of(instr):
+                if not (
+                    isinstance(stmt, ast.AssignStmt)
+                    and isinstance(stmt.target, ast.NameRef)
+                ):
+                    continue
+                name = stmt.target.name
+                declared = self.compiler._temporal_type(name)
+                _, value_type = self.compiler._compile_expr(
+                    stmt.value, instr, declared
+                )
+                if (value_type == "int") != (declared == "int"):
+                    mixed.add(name)
+        return frozenset(mixed)
 
     def translate(self, entry: int, cached: bool):
         """Compile the segment at ``entry``; ``(function, max_executed)``.
@@ -261,7 +304,9 @@ class SegmentTranslator:
                 trace = trace[: index + 1]
                 tail = _control_of(_stmts_of(self.instrs[cut]))
                 if not isinstance(tail, ast.CondGotoStmt):
-                    raise Uncompilable("trace cut is not a conditional")
+                    raise Uncompilable(
+                        "trace-shape", "trace cut is not a conditional"
+                    )
             nodes.append((entry, trace, tail))
         codegen = _TraceCodegen(self, entries, nodes, cached)
         # reject non-loop shapes before paying for scan/emit/compile
@@ -417,6 +462,8 @@ class _SegmentCodegen:
         self.touched: set[tuple[int, int]] = set()
         self.view_types: dict[tuple, set[str]] = {}
         self.unit_views: dict[tuple[int, int], set[tuple]] = {}
+        #: temporal register name -> declared type
+        self.temporals: dict[str, str] = {}
         #: any memory access anywhere in the function (a whole-function
         #: property, so prologue/exit data-cache bookkeeping is emitted
         #: consistently regardless of source order)
@@ -465,7 +512,7 @@ class _SegmentCodegen:
         fn._jit_code = code
         return fn, self.max_exec
 
-    # -- scan: collect register views and refuse what we don't cover ----------
+    # -- scan: collect register and temporal views, refuse the rest ----------
 
     def _scan(self) -> None:
         instrs = self.tr.instrs
@@ -483,7 +530,7 @@ class _SegmentCodegen:
                 self._label_of(control.target, instr)
                 if isinstance(control, ast.CallStmt):
                     if self.tr.target.cwvm.retaddr is None:
-                        raise Uncompilable("call without a %retaddr register")
+                        raise Uncompilable("no-retaddr")
                 else:
                     self._scan_slots(pc, instr)
             elif isinstance(control, ast.RetStmt):
@@ -493,16 +540,16 @@ class _SegmentCodegen:
         for slot_pc in self.tr.slot_pcs(pc, instr):
             slot_stmts = _stmts_of(self.tr.instrs[slot_pc])
             if _control_of(slot_stmts) is not None:
-                raise Uncompilable("control instruction in a delay slot")
+                raise Uncompilable("delay-slot-control")
             for stmt in slot_stmts:
                 self._scan_stmt(stmt, self.tr.instrs[slot_pc])
 
     def _label_of(self, target: ast.Expr, instr: MachineInstr) -> str:
         if not isinstance(target, ast.OperandRef):
-            raise Uncompilable("branch target is not an operand")
+            raise Uncompilable("branch-target", "not an operand")
         operand = instr.operands[target.index - 1]
         if not isinstance(operand, Lab):
-            raise Uncompilable("branch target operand is not a label")
+            raise Uncompilable("branch-target", "operand is not a label")
         return operand.name
 
     def _move_units(self, stmt: ast.AssignStmt, instr: MachineInstr):
@@ -536,12 +583,12 @@ class _SegmentCodegen:
         if not isinstance(operand, Reg) or not isinstance(
             operand.reg, PhysReg
         ):
-            raise Uncompilable("unallocated or non-register operand")
+            raise Uncompilable("unallocated-operand")
         type_name = self.tr.compiler._operand_type(instr, position)
         units = self.tr.target.registers.units_of(operand.reg)
         if type_name == "double":
             if len(units) != 2:
-                raise Uncompilable("invalid double register pairing")
+                raise Uncompilable("double-pairing")
             return units, type_name, (units[0], units[1])
         return units, type_name, (units[0],)
 
@@ -550,6 +597,16 @@ class _SegmentCodegen:
         for unit in key:
             self.touched.add(unit)
             self.unit_views.setdefault(unit, set()).add(key)
+
+    def _record_temporal(self, name: str) -> str:
+        """Record a temporal-register (``NameRef``) access; returns its
+        declared type.  Refuses a latch listed in
+        :attr:`SegmentTranslator.mixed_temporals`."""
+        type_name = self.tr.compiler._temporal_type(name)
+        if name in self.tr.mixed_temporals:
+            raise Uncompilable("temporal-type", name)
+        self.temporals[name] = type_name
+        return type_name
 
     def _scan_stmt(self, stmt: ast.Stmt, instr: MachineInstr) -> None:
         if isinstance(stmt, ast.AssignStmt):
@@ -571,9 +628,13 @@ class _SegmentCodegen:
                 self._scan_expr(target.address, instr, "int")
                 self._scan_expr(stmt.value, instr, None)
                 return
-            # NameRef (temporal register) or anything else
-            raise Uncompilable(f"cannot compile assignment to {target}")
-        raise Uncompilable(f"cannot compile statement {stmt}")
+            if isinstance(target, ast.NameRef):
+                self._scan_expr(
+                    stmt.value, instr, self._record_temporal(target.name)
+                )
+                return
+            raise Uncompilable("assignment-target", str(target))
+        raise Uncompilable("statement", str(stmt))
 
     def _scan_expr(
         self, expr: ast.Expr, instr: MachineInstr, expected: str | None
@@ -583,18 +644,20 @@ class _SegmentCodegen:
             if isinstance(operand, Imm):
                 value = fold_halves(operand.value)
                 if not isinstance(value, (int, float)):
-                    raise Uncompilable("unresolved immediate")
+                    raise Uncompilable("unresolved-immediate")
                 return "int"
             _units, type_name, key = self._reg_view(instr, expr.index - 1)
             self._record_view(key, type_name)
             return type_name
+        if isinstance(expr, ast.NameRef):
+            return self._record_temporal(expr.name)
         if isinstance(expr, ast.IntLit):
             return "int"
         if isinstance(expr, ast.FloatLit):
             return "double"
         if isinstance(expr, ast.MemRef):
             if expected is None:
-                raise Uncompilable("memory read with unknown width")
+                raise Uncompilable("memory-width")
             self.has_mem = True
             self._scan_expr(expr.address, instr, "int")
             return expected
@@ -604,7 +667,7 @@ class _SegmentCodegen:
                 return operand_type
             if expr.op in ("~", "!"):
                 return "int"
-            raise Uncompilable(f"unknown unary operator {expr.op}")
+            raise Uncompilable("operator", f"unary {expr.op}")
         if isinstance(expr, ast.Binary):
             left = self._scan_expr(expr.left, instr, expected)
             right = self._scan_expr(expr.right, instr, expected)
@@ -613,10 +676,10 @@ class _SegmentCodegen:
             common = _promote(left, right)
             if common == "int":
                 if expr.op not in _INT_OPS:
-                    raise Uncompilable(f"unknown int operator {expr.op}")
+                    raise Uncompilable("operator", f"int {expr.op}")
                 return "int"
             if expr.op not in _FLOAT_OPS:
-                raise Uncompilable(f"operator {expr.op} not on {common}")
+                raise Uncompilable("operator", f"{expr.op} on {common}")
             return common
         if isinstance(expr, ast.BuiltinCall):
             arg_type = self._scan_expr(expr.args[0], instr, None)
@@ -626,9 +689,8 @@ class _SegmentCodegen:
                 return expr.name
             if expr.name == "eval":
                 return arg_type
-            raise Uncompilable(f"unknown builtin {expr.name}")
-        # NameRef (temporal register) or anything else
-        raise Uncompilable(f"cannot compile expression {expr}")
+            raise Uncompilable("operator", f"builtin {expr.name}")
+        raise Uncompilable("expression", str(expr))
 
     # -- decide: which views become typed locals -------------------------------
 
@@ -670,6 +732,10 @@ class _SegmentCodegen:
     @staticmethod
     def _dname(key) -> str:
         return f"d{key[0][0]}_{key[0][1]}"
+
+    @staticmethod
+    def _tname(name) -> str:
+        return f"tm_{name}"
 
     def _mark_written(self, kind: str, key) -> None:
         self.written[(kind, key)] = None
@@ -750,6 +816,9 @@ class _SegmentCodegen:
                 )
                 return f"({value!r})", "int", wrapped
             return self._emit_reg_read(instr, expr.index - 1)
+        if isinstance(expr, ast.NameRef):
+            self._need("temp", expr.name)
+            return self._tname(expr.name), self.temporals[expr.name], False
         if isinstance(expr, ast.IntLit):
             value = expr.value
             wrapped = -(2**31) <= value <= _INT_MAX
@@ -764,7 +833,7 @@ class _SegmentCodegen:
             return self._emit_binary(expr, instr, expected, pc, slot)
         if isinstance(expr, ast.BuiltinCall):
             return self._emit_builtin(expr, instr, pc, slot)
-        raise Uncompilable(f"cannot compile expression {expr}")
+        raise Uncompilable("expression", str(expr))
 
     def _emit_reg_read(self, instr: MachineInstr, position: int):
         units, type_name, key = self._reg_view(instr, position)
@@ -793,7 +862,7 @@ class _SegmentCodegen:
 
     def _emit_mem_read(self, expr, instr, expected, pc, slot):
         if expected is None:
-            raise Uncompilable("memory read with unknown width")
+            raise Uncompilable("memory-width")
         addr_code, _, _ = self._expr(expr.address, instr, "int", pc, slot)
         addr = self._tmp()
         self._line(f"{addr} = {addr_code}")
@@ -839,7 +908,7 @@ class _SegmentCodegen:
             return self._wrap(f"~({code})"), "int", True
         if expr.op == "!":
             return f"(0 if {code} else 1)", "int", True
-        raise Uncompilable(f"unknown unary operator {expr.op}")
+        raise Uncompilable("operator", f"unary {expr.op}")
 
     def _emit_binary(self, expr, instr, expected, pc, slot):
         lcode, ltype, lwrapped = self._expr(
@@ -889,7 +958,7 @@ class _SegmentCodegen:
                 self._guard_zero(right, "integer division by zero")
                 fn = "_idiv" if op == "/" else "_imod"
                 return f"{fn}({left}, {right})", "int", False
-            raise Uncompilable(f"unknown int operator {op}")
+            raise Uncompilable("operator", f"int {op}")
         if op in ("+", "-", "*"):
             return f"(({lcode}) {op} ({rcode}))", common, False
         if op == "/":
@@ -898,7 +967,7 @@ class _SegmentCodegen:
             self._line(f"{right} = {rcode}")
             self._guard_zero(right, "floating divide by zero")
             return f"({left} / {right})", common, False
-        raise Uncompilable(f"operator {op} not on {common}")
+        raise Uncompilable("operator", f"{op} on {common}")
 
     def _emit_builtin(self, expr, instr, pc, slot):
         code, arg_type, wrapped = self._expr(
@@ -924,7 +993,7 @@ class _SegmentCodegen:
             return f"(({inner}) & 65535)", "int", True
         if name == "eval":
             return code, arg_type, wrapped
-        raise Uncompilable(f"unknown builtin {name}")
+        raise Uncompilable("operator", f"builtin {name}")
 
     # -- emit: statements ------------------------------------------------------
 
@@ -941,7 +1010,16 @@ class _SegmentCodegen:
             if isinstance(target, ast.MemRef):
                 self._emit_mem_write(stmt, instr, pc, slot)
                 return
-        raise Uncompilable(f"cannot compile statement {stmt}")
+            if isinstance(target, ast.NameRef):
+                # write_temporal stores the value as is: no conversion
+                name = target.name
+                vcode, _, _ = self._expr(
+                    stmt.value, instr, self.temporals[name], pc, slot
+                )
+                self._line(f"{self._tname(name)} = {vcode}")
+                self._mark_written("temp", name)
+                return
+        raise Uncompilable("statement", str(stmt))
 
     def _read_unit_bits(self, unit) -> str:
         """Current 32-bit word of ``unit`` under its representation."""
@@ -1095,6 +1173,8 @@ class _SegmentCodegen:
                 self._line(f"u[{key!r}] = {self._uname(key)}")
             elif kind == "int":
                 self._line(f"u[{key[0]!r}] = {self._iname(key)} & 4294967295")
+            elif kind == "temp":
+                self._line(f"tp[{key!r}] = {self._tname(key)}")
             else:
                 self._line(
                     f"u[{key[0]!r}], u[{key[1]!r}] ="
@@ -1115,7 +1195,7 @@ class _SegmentCodegen:
     def _entry_loads(self) -> list[str]:
         """Loads for exactly the views the body reads before writing."""
         loads = []
-        if self.entry_reads:
+        if any(kind != "temp" for kind, _key in self.entry_reads):
             loads.append("    ug = u.get")
         for unit in self.raw:
             if ("raw", unit) in self.entry_reads:
@@ -1134,6 +1214,12 @@ class _SegmentCodegen:
                 loads.append(
                     f"    {self._dname(key)} = _upk_d(_pk_p("
                     f"ug({key[0]!r}, 0), ug({key[1]!r}, 0)))[0]"
+                )
+        for name, type_name in sorted(self.temporals.items()):
+            if ("temp", name) in self.entry_reads:
+                default = 0 if type_name == "int" else 0.0
+                loads.append(
+                    f"    {self._tname(name)} = tp.get({name!r}, {default!r})"
                 )
         return loads
 
@@ -1240,7 +1326,7 @@ class _TraceCodegen(_SegmentCodegen):
         ):
             retaddr = self.tr.target.cwvm.retaddr
             if retaddr is None:
-                raise Uncompilable("call without a %retaddr register")
+                raise Uncompilable("no-retaddr")
             self.ret_unit = self.tr.target.registers.units_of(retaddr)[0]
             self.touched.add(self.ret_unit)
 
@@ -1284,18 +1370,18 @@ class _TraceCodegen(_SegmentCodegen):
             if position < last:
                 if succ is None:
                     raise Uncompilable(
-                        "internal trace node lacks a static successor"
+                        "trace-shape", "node lacks a static successor"
                     )
                 if succ != self.nodes[position + 1][0]:
                     raise Uncompilable(
-                        "trace edge does not match the node tail"
+                        "trace-shape", "edge does not match the node tail"
                     )
         if not self.looping and not self.plain:
             # a straight merge only saves one dispatch per invocation but
             # pays a wider register reload/flush at every entry and side
             # exit — measured net-negative, so only loops get traced
             # (plain one-node functions are exempt: they ARE the segment)
-            raise Uncompilable("trace has no back-edge to its head")
+            raise Uncompilable("trace-shape", "no back-edge to its head")
 
     # -- emission helpers ------------------------------------------------------
 
@@ -1505,6 +1591,9 @@ class _TraceCodegen(_SegmentCodegen):
             for unit in self.raw:
                 self._mark_written("raw", unit)
                 self.entry_reads.add(("raw", unit))
+            for name in self.temporals:
+                self._mark_written("temp", name)
+                self.entry_reads.add(("temp", name))
             # pre-register every block label the trace can count: an
             # early side exit flushes whatever locals exist at emission
             # time, and a later iteration may reach it carrying counts
@@ -1522,6 +1611,8 @@ class _TraceCodegen(_SegmentCodegen):
         for position, (entry, trace, tail) in enumerate(self.nodes):
             self._emit_node(position, entry, trace, tail, position == last)
         prologue = ["    u = state.units"]
+        if self.temporals:
+            prologue.append("    tp = state.temporal")
         if self.has_mem:
             prologue.append("    mem = state.memory")
             prologue.append("    ml = len(mem)")
@@ -1717,6 +1808,8 @@ class SegmentJIT:
         self._sb_bad: dict = {}
         self.compiled = 0
         self.uncompilable = 0
+        #: :attr:`Uncompilable.reason` -> segment refusals
+        self.refusals: Counter = Counter()
         self.preloaded = 0
         self.deopts = 0
         self.hits = 0
@@ -1773,9 +1866,10 @@ class SegmentJIT:
             fn, max_exec = self.translator.translate(entry, cached)
             record = (fn, max_exec, False)
             self.compiled += 1
-        except Uncompilable:
+        except Uncompilable as refusal:
             record = None
             self.uncompilable += 1
+            self.refusals[refusal.reason] += 1
         self.functions(cached)[entry] = record
         self.dirty = True
         return record
@@ -2079,6 +2173,7 @@ class SegmentJIT:
         return {
             "compiled": self.compiled,
             "uncompilable": self.uncompilable,
+            "refused": dict(self.refusals),
             "preloaded": self.preloaded,
             "active_segments": self.active_segments(),
             "deopts": self.deopts,

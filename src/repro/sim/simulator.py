@@ -41,8 +41,10 @@ _MISS = object()
 #: 1-3 close their final segment inside generated code — the dispatch
 #: loop no longer closes them, so v4 functions would leave segments
 #: untimed — and payloads carry marshalled code objects so a warm
-#: process skips re-``compile()``-ing every generated source)
-_JIT_PAYLOAD_VERSION = "v5"
+#: process skips re-``compile()``-ing every generated source; v6:
+#: temporal registers translate, so v5 payloads pin i860 entries to the
+#: interpreter with stale refusal records)
+_JIT_PAYLOAD_VERSION = "v6"
 
 #: version tag mixed into the ``timing`` artifact-cache key; bumped
 #: when the :meth:`BlockTimingCache.export` payload format changes
@@ -152,6 +154,9 @@ class SimResult:
     #: preloaded; the number that distinguishes a warm run
     #: (``jit_segments == 0`` but hundreds active) from JIT-off
     jit_active_segments: int = 0
+    #: :attr:`~repro.sim.jit.Uncompilable.reason` -> segment refusals
+    #: decided this run (why an entry stays on the interpreter)
+    jit_refused: dict[str, int] = field(default_factory=dict)
     #: pipeline-state digests computed this run (first visits to a
     #: timing transition); on a warm run this stays near zero while
     #: ``block_cache_hits`` counts every boundary
@@ -299,6 +304,8 @@ class Simulator:
                 obs.count("sim.jit.superblocks", result.jit_superblocks)
             if result.jit_side_exits:
                 obs.count("sim.jit.side_exits", result.jit_side_exits)
+            for reason, count in result.jit_refused.items():
+                obs.count(f"sim.jit.refused.{reason}", count)
             if result.cycle_breakdown:
                 for kind, count in result.cycle_breakdown.items():
                     if count:
@@ -693,6 +700,7 @@ class Simulator:
         jit_preloaded_before = jit.preloaded if jit is not None else 0
         jit_sb_preloaded_before = jit.sb_preloaded if jit is not None else 0
         jit_sb_demoted_before = jit.sb_demoted if jit is not None else 0
+        jit_refused_before = jit.refusals.copy() if jit is not None else None
 
         while pc != _HALT:
             if pc < 0 or pc >= program_size:
@@ -998,6 +1006,7 @@ class Simulator:
         jit_preloaded_delta = jit_sb_preloaded_delta = 0
         jit_sb_demoted_delta = 0
         jit_active = 0
+        jit_refused = {}
         if jit is not None:
             jit.hits += jit_hits_run
             jit.side_exits += sb_exits_run
@@ -1008,6 +1017,7 @@ class Simulator:
             jit_sb_preloaded_delta = jit.sb_preloaded - jit_sb_preloaded_before
             jit_sb_demoted_delta = jit.sb_demoted - jit_sb_demoted_before
             jit_active = jit.active_segments()
+            jit_refused = dict(jit.refusals - jit_refused_before)
         if timing.ENABLED:
             timing.add_seconds("sim.run", time.perf_counter() - wall_start)
             timing.add("sim.instructions", executed)
@@ -1046,6 +1056,7 @@ class Simulator:
             jit_superblocks=jit_superblocks,
             jit_side_exits=sb_exits_run,
             jit_active_segments=jit_active,
+            jit_refused=jit_refused,
             timing_digests=digests,
         )
         result.return_value = self._read_result(state)

@@ -18,6 +18,7 @@ from repro.targets import (
     maril_source,
     target_build_count,
 )
+from repro.workloads import kernel_by_id
 
 KERNEL = """
 double bench(int loop, int n) {
@@ -208,6 +209,36 @@ def test_jit_and_timing_preload_round_trip(store):
     assert warm.block_cache_misses == 0
     assert second._segment_jit.preloaded > 0
     assert second._segment_jit.compiled == 0
+
+
+def _simulate_k7(executable):
+    return repro.simulate(
+        executable,
+        "bench",
+        args=(2, 60),
+        options=repro.SimOptions(cache=DirectMappedCache()),
+    )
+
+
+def test_i860_payload_holds_no_refusals(store):
+    # temporal-register segments translate, so neither the cold process
+    # nor a warm one preloading its payload pins an entry to the
+    # interpreter (a stale payload's None records would)
+    source = kernel_by_id(7).source
+    target = load_target("i860")
+    first = repro.compile_c(source, target, OPTIONS)
+    cold = _simulate_k7(first)
+    assert first._segment_jit.stats["uncompilable"] == 0
+    second = repro.compile_c(source, target, OPTIONS)
+    warm = _simulate_k7(second)
+    assert warm.cycles == cold.cycles
+    assert warm.return_value == cold.return_value
+    jit = second._segment_jit
+    assert jit.stats["uncompilable"] == 0
+    assert jit.preloaded > 0 and jit.compiled == 0
+    payload = jit.export()
+    assert payload
+    assert None not in payload.values()
 
 
 #: a branchy loop body (several segments) so a trace superblock can

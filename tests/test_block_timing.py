@@ -63,8 +63,8 @@ def test_fast_path_bit_identical_k1(target, strategy):
 def test_fast_path_bit_identical_k7(target):
     # K7 (equation of state) has a wider loop body than K1 — more live
     # producers across the back edge, a harder digest case, and on the
-    # i860 temporal (EAP) sub-operations the JIT must refuse without
-    # perturbing the interpreted result
+    # i860 temporal (EAP) sub-operations whose latches the JIT holds in
+    # generated-code locals
     check_against_reference("default", 7, target)
 
 

@@ -12,10 +12,16 @@ covers warmup, refusal, deopt and blacklist.
 import pytest
 
 import repro
-from repro.errors import MarionError, SimulationError
+from repro.errors import MarionError, SchedulingError, SimulationError
 from repro.sim.cache import DirectMappedCache
-from repro.sim.jit import MAX_DEOPTS, SegmentJIT
-from repro.workloads import kernel_by_id
+from repro.obs import Trace, tracing
+from repro.sim.jit import (
+    MAX_DEOPTS,
+    SegmentJIT,
+    SegmentTranslator,
+    Uncompilable,
+)
+from repro.workloads import LIVERMORE_KERNELS, PROGRAM_SUITE, kernel_by_id
 
 from tests.differential import STRATEGIES, TARGETS, check_against_reference
 
@@ -63,8 +69,8 @@ def test_jit_bit_identical_k1(target, strategy):
 @pytest.mark.parametrize("target", ("r2000", "i860"))
 def test_jit_bit_identical_k7(target):
     # K7 (equation of state) has a wider loop body than K1: more views
-    # per segment, and on i860 temporal (EAP) sub-operations that the
-    # translator must refuse without perturbing the interpreted result
+    # per segment, and on i860 temporal (EAP) sub-operations whose
+    # latches the translator holds in locals
     _check_interpreted(7, target)
 
 
@@ -84,16 +90,104 @@ def test_jit_bit_identical_with_timing_off(target):
     assert off.cycles == off.instructions
 
 
-def test_i860_temporal_segments_stay_interpreted():
-    # temporal registers are refused statically: some i860 segments must
-    # come back Uncompilable, and those entries pin to the interpreter
+def test_i860_temporal_segments_compile():
+    # temporal registers live in generated-code locals: every hot i860
+    # segment compiles, and no entry pins to the interpreter
     spec = kernel_by_id(7)
     executable = _compile(spec, "i860", "postpass")
     executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
-    _simulate(executable, spec, jit=True)
+    result = _simulate(executable, spec, jit=True)
     jit = executable._segment_jit
-    assert jit.uncompilable > 0
-    assert None in jit.functions(True).values()
+    assert jit.uncompilable == 0
+    assert jit.stats["refused"] == {}
+    assert result.jit_refused == {}
+    assert None not in jit.functions(True).values()
+    assert any(
+        "tp = state.temporal" in record[0]._jit_source
+        for record in jit.functions(True).values()
+    )
+
+
+# -- totality -----------------------------------------------------------------
+
+
+def _i860_cells():
+    programs = [(f"K{k.id}", k.source) for k in LIVERMORE_KERNELS] + [
+        (program.name, program.source) for program in PROGRAM_SUITE
+    ]
+    for name, source in programs:
+        for strategy in STRATEGIES:
+            marks = ()
+            if (name, strategy) == ("K8", "rase"):
+                # the known i860 x RASE temporal deadlock: this turns red
+                # (XPASS) once the scheduler compiles the cell
+                marks = pytest.mark.xfail(strict=True, raises=SchedulingError)
+            yield pytest.param(
+                source, strategy, id=f"{strategy}-{name}", marks=marks
+            )
+
+
+@pytest.mark.parametrize("source, strategy", _i860_cells())
+def test_i860_every_block_start_translates(source, strategy):
+    # the translator is total on the i860: no block start of any grid
+    # cell is refused, for either data-cache table
+    executable = repro.compile_c(
+        source, "i860", repro.CompileOptions(strategy=strategy)
+    )
+    translator = SegmentTranslator(executable)
+    for entry in sorted(translator.block_starts):
+        for cached in (False, True):
+            translator.translate(entry, cached)
+
+
+def test_mixed_kind_temporal_is_refused(monkeypatch):
+    # an i860 variant whose M2 latches an int into the double-typed m2:
+    # a tm_m2 local would then hold a Python int under a double static
+    # type, so every segment touching m2 stays interpreted — and the run
+    # still matches the interpreter exactly
+    import repro.targets.i860 as i860
+
+    monkeypatch.setattr(
+        i860, "I860_MARIL",
+        i860.I860_MARIL.replace("{m2 = m1;}", "{m2 = int(m1);}"),
+    )
+    spec = kernel_by_id(7)
+    executable = repro.compile_c(
+        spec.source, i860.build_i860(), repro.CompileOptions()
+    )
+    jit = executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
+    assert jit.translator.mixed_temporals == {"m2"}
+    compiled = _simulate(executable, spec, jit=True)
+    assert compiled.jit_refused.get("temporal-type", 0) > 0
+    assert jit.compiled > 0
+    interpreted = _simulate(executable, spec, jit=False)
+    assert compiled.cycles == interpreted.cycles
+    assert compiled.return_value == interpreted.return_value
+    assert compiled.block_counts == interpreted.block_counts
+
+
+def test_refusal_reasons_are_counted_and_traced():
+    # every refusal is counted under its reason slug: in the JIT's stats,
+    # in the run's result and as a sim.jit.refused.<reason> trace counter
+    spec = kernel_by_id(1)
+    executable = _compile(spec, "r2000", "postpass")
+    jit = executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
+
+    def refuse(entry, cached):
+        raise Uncompilable("operator", "forced")
+
+    jit.translator.translate = refuse
+    trace = Trace("sim")
+    with tracing(trace):
+        result = _simulate(executable, spec, jit=True)
+    refused = jit.uncompilable
+    assert refused > 0
+    assert jit.stats["refused"] == {"operator": refused}
+    assert result.jit_refused == {"operator": refused}
+    assert trace.counters["sim.jit.refused.operator"] == refused
+    # a run reports only the refusals it decided itself
+    again = _simulate(executable, spec, jit=True)
+    assert sum(again.jit_refused.values()) == jit.uncompilable - refused
 
 
 # -- deopt paths --------------------------------------------------------------

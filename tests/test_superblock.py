@@ -148,9 +148,8 @@ def test_superblock_bit_identical_diamond(target, strategy):
     for field in COMPARED_FIELDS:
         assert getattr(traced, field) == getattr(reference, field), field
     assert traced.jit_deopts == 0
-    if target != "i860":  # temporal sub-operations refuse translation
-        assert traced.jit_superblocks > 0
-        assert traced.jit_side_exits > 0
+    assert traced.jit_superblocks > 0
+    assert traced.jit_side_exits > 0
     assert reference.jit_superblocks == reference.jit_side_exits == 0
 
 
