@@ -44,7 +44,6 @@ from repro.options import CompileOptions, SimOptions
 from repro.program import Executable, link
 from repro.sim import DirectMappedCache, SimResult, Simulator, run_program
 from repro.targets import TARGET_NAMES, clear_target_cache, load_target
-from repro.utils import timing
 
 __version__ = "1.1.0"
 
@@ -141,7 +140,7 @@ def compile_c(
         )
     if isinstance(target, str):
         target = load_target(target)
-    timing.add("compile.calls")
+    obs.count("compile.calls")
     # artifact cache (exe layer): executables are content-addressed by
     # (target identity, source text, options).  Only targets that came
     # through the cached load path carry a content_key — a hand-built
@@ -154,16 +153,16 @@ def compile_c(
         cached_exe = store.get("exe", exe_key)
         if isinstance(cached_exe, Executable):
             return cached_exe
-    timing.add("compile.compiled")
+    obs.count("compile.compiled")
     with obs.span(
         "compile_c", target=target.name, strategy=options.strategy
     ):
-        with timing.phase("compile.frontend"), obs.span("frontend"):
+        with obs.span("frontend"):
             il_program = compile_to_il(source)
         generator = CodeGenerator(target, options)
-        with timing.phase("compile.codegen"):
+        with obs.span("codegen"):
             machine_program = generator.compile_il(il_program)
-        with timing.phase("compile.link"), obs.span("link"):
+        with obs.span("link"):
             executable = link(machine_program, memory_size=options.memory_size)
     executable.machine_program = machine_program  # keep stats reachable
     if exe_key is not None:

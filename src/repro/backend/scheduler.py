@@ -22,7 +22,6 @@ IPS strategy's pressure-bounded first pass.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 from repro.backend.codedag import CodeDag, DagNode, build_code_dag
@@ -31,8 +30,8 @@ from repro.machine.resources import commit, conflicts
 from repro.errors import SchedulingError
 from repro.il.node import PseudoReg
 from repro.machine.target import TargetMachine
+from repro import obs
 from repro.obs import stalls
-from repro.utils import timing
 
 
 @dataclass
@@ -63,6 +62,10 @@ class ScheduleResult:
         return out
 
 
+#: unscheduled instructions a no-progress SchedulingError lists
+_STUCK_SHOWN = 8
+
+
 class ListScheduler:
     """A target-parameterised list scheduler."""
 
@@ -88,18 +91,8 @@ class ListScheduler:
         """List-schedule one basic block's instructions."""
         if not instrs:
             return ScheduleResult([], 0)
-        if timing.ENABLED:
-            start = time.perf_counter()
-            dag = build_code_dag(
-                instrs, self.target, include_anti=self.include_anti
-            )
-            result = _BlockScheduler(self, dag).run()
-            timing.add_seconds(
-                "scheduler.schedule_block", time.perf_counter() - start
-            )
-            timing.add("scheduler.blocks")
-            timing.add("scheduler.instructions", len(instrs))
-            return result
+        obs.count("scheduler.blocks")
+        obs.count("scheduler.instructions", len(instrs))
         dag = build_code_dag(instrs, self.target, include_anti=self.include_anti)
         return _BlockScheduler(self, dag).run()
 
@@ -210,11 +203,39 @@ class _BlockScheduler:
             cycle += 1
             guard += 1
             if guard > limit:
-                raise SchedulingError(
-                    "scheduler made no progress (possible temporal deadlock); "
-                    f"{self.unscheduled} instructions remain"
-                )
+                raise self._stuck(cycle)
         return self._finish()
+
+    def _stuck(self, cycle: int) -> SchedulingError:
+        """The no-progress error, carrying what blocked the block: the
+        register limit and live count, the first unscheduled
+        instructions and the temporal groups still open."""
+        left = sorted(
+            (n for n in self.nodes if n not in self.issue_cycle),
+            key=lambda n: n.index,
+        )
+        groups = []
+        for clock, pending in sorted(self.pending_temporal.items()):
+            waiting = [n for n in left if n in pending]
+            if waiting:
+                groups.append(
+                    f"{clock}: " + "; ".join(str(n.instr) for n in waiting)
+                )
+        limit = self.config.register_limit
+        return SchedulingError(
+            "scheduler made no progress (possible temporal deadlock); "
+            f"{self.unscheduled} instructions remain at cycle {cycle} "
+            f"(register limit {limit}, {len(self.live)} live, "
+            f"{len(groups)} open temporal group(s))",
+            details={
+                "remaining": self.unscheduled,
+                "cycle": cycle,
+                "register_limit": limit,
+                "live": len(self.live),
+                "unscheduled": [str(n.instr) for n in left[:_STUCK_SHOWN]],
+                "temporal_groups": groups,
+            },
+        )
 
     def _issue_all_possible(self, cycle: int) -> None:
         issued_something = True

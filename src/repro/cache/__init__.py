@@ -42,7 +42,7 @@ import pickle
 from pathlib import Path
 
 from repro.cache.store import CORRUPT, HIT, FileStore
-from repro.utils import timing
+from repro import obs
 
 #: bump to invalidate every cached artifact after a change to any code
 #: that shapes cached products (CGG, codegen, linker, JIT codegen,
@@ -74,9 +74,9 @@ class ArtifactCache:
     ``enabled=False`` makes the cache fully inert: gets miss without
     touching the filesystem, puts and invalidations are dropped.
     Counters (``hits``/``misses``/``writes``/``corrupt``) are plain
-    ints on the instance so callers can snapshot deltas even when the
-    :mod:`~repro.utils.timing` recorder is disabled; when it is enabled
-    the same events also flow into ``cache.*`` counters.
+    ints on the instance so callers can snapshot deltas even when
+    nothing records; the same events also flow into the ``cache.*``
+    :mod:`repro.obs` counters.
     """
 
     def __init__(
@@ -137,19 +137,16 @@ class ArtifactCache:
         if status == HIT:
             self.hits += 1
             self._layer_count(layer, "hits")
-            if timing.ENABLED:
-                timing.add("cache.hit")
-                timing.add(f"cache.{layer}.hit")
+            obs.count("cache.hit")
+            obs.count(f"cache.{layer}.hit")
             return value
         if status == CORRUPT:
             self.corrupt += 1
-            if timing.ENABLED:
-                timing.add("cache.corrupt")
+            obs.count("cache.corrupt")
         self.misses += 1
         self._layer_count(layer, "misses")
-        if timing.ENABLED:
-            timing.add("cache.miss")
-            timing.add(f"cache.{layer}.miss")
+        obs.count("cache.miss")
+        obs.count(f"cache.{layer}.miss")
         return None
 
     def put(self, layer: str, key: str, value) -> bool:
@@ -161,14 +158,12 @@ class ArtifactCache:
         try:
             self.store.write(layer, key, value)
         except (pickle.PicklingError, TypeError, AttributeError, OSError):
-            if timing.ENABLED:
-                timing.add("cache.put_failed")
+            obs.count("cache.put_failed")
             return False
         self.writes += 1
         self._layer_count(layer, "writes")
-        if timing.ENABLED:
-            timing.add("cache.write")
-            timing.add(f"cache.{layer}.write")
+        obs.count("cache.write")
+        obs.count(f"cache.{layer}.write")
         return True
 
     def invalidate(self, layer: str, key: str) -> bool:

@@ -17,12 +17,12 @@ from repro.machine.resources import ResourceTable
 from repro.machine.target import AuxRule, CallingConvention, TargetMachine
 from repro.maril import ast
 from repro.maril.parser import parse_maril
-from repro.utils import timing
+from repro import obs
 
 
 def build_target(description: ast.Description | str, name: str = "target") -> TargetMachine:
     """Compile a (parsed or textual) Maril description into a target."""
-    timing.add("cgg.builds")
+    obs.count("cgg.builds")
     if isinstance(description, str):
         description = parse_maril(description, filename=f"<{name}>")
     return _Generator(description, name).build()

@@ -66,7 +66,17 @@ class SelectionError(MarionError):
 
 
 class SchedulingError(MarionError):
-    """The scheduler could not produce a legal schedule."""
+    """The scheduler could not produce a legal schedule.
+
+    ``details`` says why, when the raise site knows: a block that made
+    no progress carries ``remaining``, ``cycle``, ``register_limit``,
+    ``live``, the first ``unscheduled`` instructions and the open
+    ``temporal_groups``.
+    """
+
+    def __init__(self, message: str, details: dict | None = None):
+        self.details = dict(details or {})
+        super().__init__(message)
 
 
 class AllocationError(MarionError):
@@ -192,7 +202,8 @@ def error_payload(exc: BaseException, traceback_limit: int = 2000) -> dict:
         for name, value in extra.items():
             details[str(name)] = (
                 value
-                if isinstance(value, (bool, int, float, str, list))
+                if value is None
+                or isinstance(value, (bool, int, float, str, list))
                 else str(value)
             )
     for name in _DETAIL_FIELDS:

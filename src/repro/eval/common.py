@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import repro
 from repro.cache import get_cache
 from repro.sim import DirectMappedCache, SimResult
-from repro.utils import timing
+from repro import obs
 from repro.workloads import kernel_by_id
 
 STRATEGIES = ("postpass", "ips", "rase")
@@ -192,7 +192,7 @@ def estimated_cycles_detailed(
         cost = cost_of.get(label)
         if cost is None:
             unmatched += 1
-            timing.add("eval.profiled_blocks_without_cost")
+            obs.count("eval.profiled_blocks_without_cost")
             continue
         total += cost * count
     if unmatched:

@@ -39,13 +39,14 @@ from __future__ import annotations
 import os
 import signal
 import threading
+import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import obs
 from repro.errors import GridTimeout, error_payload
-from repro.utils import timing
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -119,24 +120,22 @@ def run_unit(fn, args, kwargs, timeout):
     wall_s, metrics)`` where ``payload`` is an
     :func:`repro.errors.error_payload` — raising across the transport
     boundary would lose the taxonomy's detail fields — and ``metrics``
-    is the worker's per-unit :func:`repro.utils.timing.snapshot` (or
-    ``None`` with instrumentation off).  The recorder is reset at unit
-    entry so the snapshot is a clean delta: with the ``fork`` start
-    method a worker inherits the parent's accumulated counters, and a
-    reused worker process carries its previous units' — either would
-    double-count on merge.
+    is the unit's own process-recorder summary (``None`` with process
+    recording off), for the parent to merge once.  Each unit records
+    into a fresh recorder so the summary is a clean delta: with the
+    ``fork`` start method a worker inherits the parent's accumulated
+    counters, and a reused worker process carries its previous units' —
+    either would double-count on merge.
     """
-    if timing.ENABLED:
-        timing.reset()
-    watch = timing.stopwatch()
+    unit_recorder = obs.record() if obs.recorder() is not None else None
+    start = time.perf_counter()
     try:
         with unit_deadline(timeout):
-            result = fn(*args, **kwargs)
+            outcome = ("ok", fn(*args, **kwargs))
     except Exception as exc:  # noqa: BLE001 — the whole point is containment
-        metrics = timing.snapshot() if timing.ENABLED else None
-        return ("err", error_payload(exc), watch.seconds, metrics)
-    metrics = timing.snapshot() if timing.ENABLED else None
-    return ("ok", result, watch.seconds, metrics)
+        outcome = ("err", error_payload(exc))
+    metrics = unit_recorder.summary() if unit_recorder is not None else None
+    return (*outcome, time.perf_counter() - start, metrics)
 
 
 #: payload standing in for a unit whose worker died without reporting
@@ -155,9 +154,9 @@ class UnitEvent:
     ``status`` is ``"ok"`` (``value`` is the unit's result) or ``"err"``
     (``value`` is an :func:`repro.errors.error_payload` dict — including
     the synthetic ``WorkerCrash`` payload for units whose worker died
-    past the retry budget).  ``metrics`` is the worker's per-unit timing
-    snapshot for parent-side merge; ``attempts`` counts how many times
-    the backend dispatched the key.
+    past the retry budget).  ``metrics`` is the worker's per-unit
+    process-recorder summary for parent-side merge; ``attempts`` counts
+    how many times the backend dispatched the key.
     """
 
     key: str

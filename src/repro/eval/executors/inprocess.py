@@ -16,6 +16,7 @@ conformance suite uses to pin expected semantics.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 
 from repro.errors import error_payload
@@ -25,7 +26,6 @@ from repro.eval.executors.base import (
     UnitEvent,
     unit_deadline,
 )
-from repro.utils import timing
 
 
 class InprocessAsyncExecutor(Executor):
@@ -51,17 +51,18 @@ class InprocessAsyncExecutor(Executor):
             return None
         task, deadline = self._queue.popleft()
         attempts = self._take_attempts(task.key)
-        watch = timing.stopwatch()
+        start = time.perf_counter()
         try:
             with unit_deadline(deadline):
                 value = task.run()
         except Exception as exc:  # noqa: BLE001 — containment is the contract
             return UnitEvent(
-                task.key, "err", error_payload(exc), watch.seconds,
-                attempts=attempts,
+                task.key, "err", error_payload(exc),
+                time.perf_counter() - start, attempts=attempts,
             )
         return UnitEvent(
-            task.key, "ok", value, watch.seconds, attempts=attempts
+            task.key, "ok", value, time.perf_counter() - start,
+            attempts=attempts,
         )
 
     def cancel(self, key: str) -> bool:

@@ -13,7 +13,9 @@ and carries over the grid's pre-executor fault semantics unchanged:
   key exhausts its ``retries`` budget;
 * with the default ``fork`` start method workers inherit the parent's
   warm in-process caches at pool creation, and the persistent artifact
-  cache covers everything else.
+  cache covers everything else;
+* a worker exits on its own once its parent process is gone (a
+  SIGKILLed report leaves no pool workers behind).
 
 Unlike the pre-executor grid, the pool persists across ``run_grid``
 calls until :meth:`close` — the report drives all of its sections
@@ -23,6 +25,8 @@ from section to section instead of being forked fresh per table.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError, ProcessPoolExecutor
@@ -30,6 +34,7 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures.process import BrokenProcessPool
 
+from repro import obs
 from repro.errors import error_payload
 from repro.eval.executors.base import (
     CRASH_PAYLOAD,
@@ -39,7 +44,22 @@ from repro.eval.executors.base import (
     resolve_jobs,
     run_unit,
 )
-from repro.utils import timing
+
+#: how often a pool worker checks that its parent is still alive
+ORPHAN_POLL_SECONDS = 0.2
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once the process that created the
+    pool is gone (the worker gets reparented, so ``getppid`` changes).
+    A SIGKILLed parent never gets to shut its pool down."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
 
 
 class LocalPoolExecutor(Executor):
@@ -66,7 +86,11 @@ class LocalPoolExecutor(Executor):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_exit_with_parent,
+                initargs=(os.getpid(),),
+            )
         return self._pool
 
     def submit(self, task, timeout: float | None = None) -> str:
@@ -141,7 +165,7 @@ class LocalPoolExecutor(Executor):
     def _rebuild(self, orphans: list[str]) -> None:
         """The pool broke: every in-flight unit is an orphan.  Resubmit
         the ones with retry budget left, crash-fail the rest."""
-        timing.add("grid.pool_rebuilds")
+        obs.count("grid.pool_rebuilds")
         orphans.extend(self._futures.values())
         pool, self._pool = self._pool, None
         self._futures.clear()
@@ -159,7 +183,7 @@ class LocalPoolExecutor(Executor):
                 self._copies[key] = 1
                 self._finish_copy(key)
             else:
-                timing.add("grid.retried_units")
+                obs.count("grid.retried_units")
                 self._copies[key] = self._copies.get(key, 1) - 1
                 self._dispatch(key)
 

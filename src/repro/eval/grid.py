@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 from typing import Any, Callable, Sequence
 
+from repro import obs
 from repro.errors import reconstruct_error
 from repro.eval.executors import (
     Executor,
@@ -63,7 +64,6 @@ from repro.eval.executors import (
     resolve_timeout,
 )
 from repro.eval.journal import MISSING, Journal
-from repro.utils import timing
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,7 @@ def run_grid(
     journal = opts.journal
     collect = opts.failures == "collect"
     collector = opts.collector if opts.collector is not None else _default_collector
-    timing.add(f"grid.{label}.units", len(tasks))
+    obs.count(f"grid.{label}.units", len(tasks))
 
     results: list = [MISSING] * len(tasks)
     pending: dict[int, GridTask] = {}
@@ -351,8 +351,8 @@ def run_grid(
             pending[index] = task
     resumed = len(tasks) - len(pending)
     if resumed:
-        timing.add(f"grid.{label}.resumed", resumed)
-        timing.add("grid.resumed_units", resumed)
+        obs.count(f"grid.{label}.resumed", resumed)
+        obs.count("grid.resumed_units", resumed)
 
     # batched dispatch: fold pending units sharing a batch_key into
     # composite run_batch tasks; slots, journal entries and failures
@@ -395,8 +395,8 @@ def run_grid(
                     del pending[i]
                 pending[chunk[0]] = composite
         if batched_units:
-            timing.add(f"grid.{label}.batched_units", batched_units)
-            timing.add("grid.batched_units", batched_units)
+            obs.count(f"grid.{label}.batched_units", batched_units)
+            obs.count("grid.batched_units", batched_units)
 
     def record_ok(index: int, value, wall_s: float) -> None:
         results[index] = value
@@ -408,10 +408,10 @@ def run_grid(
         failure = _make_failure(task.key, payload, wall_s, attempts)
         if journal is not None:
             journal.record_failure(task.key, payload, wall_s, attempts)
-        timing.add(f"grid.{label}.failures")
-        timing.add("grid.failed_units")
+        obs.count(f"grid.{label}.failures")
+        obs.count("grid.failed_units")
         if payload.get("type") == "GridTimeout":
-            timing.add("grid.timeouts")
+            obs.count("grid.timeouts")
         if not collect:
             raise reconstruct_error(payload)
         results[index] = failure
@@ -423,7 +423,7 @@ def run_grid(
     backend, owned = _resolve_backend(opts, count, len(pending))
     if backend.backend != "inprocess":
         probe = backend.probe()
-        timing.add(f"grid.{label}.workers", probe.workers or count)
+        obs.count(f"grid.{label}.workers", probe.workers or count)
 
     # global fault counters are bumped inside the backends; snapshot them
     # so their per-label slices stay in BENCH after the refactor
@@ -431,10 +431,11 @@ def run_grid(
         "grid.pool_rebuilds": f"grid.{label}.pool_rebuilds",
         "grid.retried_units": f"grid.{label}.retries",
     }
+    recorder = obs.recorder()
     before = (
-        {name: timing.counter(name) for name in label_slices}
-        if timing.ENABLED
-        else {}
+        {name: recorder.counters.get(name, 0) for name in label_slices}
+        if recorder is not None
+        else None
     )
 
     outstanding: dict[str, int] = {}
@@ -450,8 +451,8 @@ def run_grid(
             index = outstanding.pop(event.key, None)
             if index is None:
                 continue  # stale: an aborted run's echo on a shared backend
-            if event.metrics is not None:
-                timing.merge(event.metrics)
+            if event.metrics is not None and recorder is not None:
+                recorder.merge_summary(event.metrics)
             members = composite_members.get(event.key)
             if members is None:
                 if event.ok:
@@ -495,11 +496,11 @@ def run_grid(
             _drain(backend, outstanding)
         raise
     finally:
-        if timing.ENABLED:
+        if before is not None:
             for name, slice_name in label_slices.items():
-                delta = timing.counter(name) - before.get(name, 0)
+                delta = recorder.counters.get(name, 0) - before[name]
                 if delta:
-                    timing.add(slice_name, delta)
+                    recorder.count(slice_name, delta)
         if owned:
             backend.close()
     return results

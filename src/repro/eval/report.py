@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.cache import configure as configure_cache, get_cache
 from repro.eval.attribution import measure_stalls, render_stalls
 from repro.eval.ablation import (
@@ -63,7 +67,7 @@ from repro.eval.table2 import table2
 from repro.eval.table3 import table3
 from repro.eval.table4 import measure as table4_measure
 from repro.eval.table4 import render as table4_render
-from repro.utils import timing
+from repro.sim.simulator import jit_counters
 
 #: the seed harness (serial, uncached, pre-optimization) measured at
 #: scale 0.3 on this repository's reference runner — the denominator for
@@ -156,8 +160,7 @@ def generate_report(
         collector=collector,
         batch=batch,
     )
-    timing.reset()
-    timing.enable()
+    obs.record()
     # the whole report is one shared-executable scope: every unit — run
     # in-process or in a worker forked after this point — compiles
     # through the batch memo, so sections that revisit the same
@@ -423,7 +426,7 @@ def _bench_payload(
     stall_data=None,
     grid_info: dict | None = None,
 ) -> dict:
-    """The machine-readable BENCH_eval.json payload (schema v11)."""
+    """The machine-readable BENCH_eval.json payload (schema v12)."""
     runs = [
         run
         for by_strategy in table4_data.runs.values()
@@ -431,16 +434,23 @@ def _bench_payload(
     ]
     sim_seconds = sum(run.sim_seconds for run in runs)
     sim_cycles = sum(run.actual_cycles for run in runs)
-    snapshot = timing.snapshot()
-    block_hits = timing.counter("sim.block_cache.hit")
-    block_misses = timing.counter("sim.block_cache.miss")
+    summary = obs.recorder().summary()
+    counter = Counter(summary["counters"])
+    block_hits = counter["sim.block_cache.hit"]
+    block_misses = counter["sim.block_cache.miss"]
     block_lookups = block_hits + block_misses
     store = get_cache()
     grid_info = dict(grid_info or {})
     payload = {
-        "schema": 11,
+        "schema": 12,
         "scale": scale,
         "jobs": jobs,
+        # schema v12: the host the wall-clock numbers were measured on
+        "host": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
         "wall_seconds": {
             "total": round(total_seconds, 3),
             **{
@@ -461,10 +471,13 @@ def _bench_payload(
             "unmatched_profile_blocks": table4_data.unmatched_blocks,
         },
         "sim": {
+            # schema v12: the sum of the simulate:<function> spans
             "run_seconds": round(
-                snapshot["phases"]
-                .get("sim.run", {})
-                .get("seconds", 0.0),
+                sum(
+                    entry["seconds"]
+                    for name, entry in summary["phases"].items()
+                    if name.startswith("simulate:")
+                ),
                 3,
             ),
             "block_cache": {
@@ -476,24 +489,16 @@ def _bench_payload(
                     else None
                 ),
             },
-            "jit": {
-                "segments": timing.counter("sim.jit.segments"),
-                # schema v10: compiled + preloaded code live at run end,
-                # so a fully warm run does not read as "JIT off"
-                "active_segments": timing.counter("sim.jit.active_segments"),
-                "hits": timing.counter("sim.jit.hit"),
-                "deopts": timing.counter("sim.jit.deopt"),
-            },
+            # schema v12: ``refused`` counts segment refusals by reason
+            "jit": jit_counters(counter),
             # schema v10: the digest-free timing chain.  ``digests
             # _computed`` counts first-visit transition replays; a warm
             # run keeps ``digest_rate`` (digests / memo lookups) ≈ 0
             "timing": {
-                "digests_computed": timing.counter(
-                    "sim.timing.digests_computed"
-                ),
+                "digests_computed": counter["sim.timing.digests_computed"],
                 "digest_rate": (
                     round(
-                        timing.counter("sim.timing.digests_computed")
+                        counter["sim.timing.digests_computed"]
                         / block_lookups,
                         6,
                     )
@@ -509,42 +514,42 @@ def _bench_payload(
             # side exits taken back into the dispatch loop, preloaded
             # segment/trace payloads from the artifact cache)
             "superblock": {
-                "traces": timing.counter("sim.jit.superblocks"),
-                "side_exits": timing.counter("sim.jit.side_exits"),
-                "demoted": timing.counter("sim.jit.sb_demoted"),
-                "preloaded_segments": timing.counter("sim.jit.preloaded"),
-                "preloaded_traces": timing.counter("sim.jit.sb_preloaded"),
+                "traces": counter["sim.jit.superblocks"],
+                "side_exits": counter["sim.jit.side_exits"],
+                "demoted": counter["sim.jit.sb_demoted"],
+                "preloaded_segments": counter["sim.jit.preloaded"],
+                "preloaded_traces": counter["sim.jit.sb_preloaded"],
             },
         },
         # schema v9: batched-dispatch volume (units run inside composite
         # batch tasks; 0 with batching off)
-        "batched_units": timing.counter("grid.batched_units"),
+        "batched_units": counter["grid.batched_units"],
         "target_cache": {
-            "hits": timing.counter("target_cache.hit"),
-            "misses": timing.counter("target_cache.miss"),
-            "bypasses": timing.counter("target_cache.bypass"),
-            "disk_hits": timing.counter("target_cache.disk_hit"),
+            "hits": counter["target_cache.hit"],
+            "misses": counter["target_cache.miss"],
+            "bypasses": counter["target_cache.bypass"],
+            "disk_hits": counter["target_cache.disk_hit"],
         },
         "artifact_cache": {
             "enabled": store.enabled,
             "root": str(store.root),
-            "hits": timing.counter("cache.hit"),
-            "misses": timing.counter("cache.miss"),
-            "writes": timing.counter("cache.write"),
-            "corrupt": timing.counter("cache.corrupt"),
+            "hits": counter["cache.hit"],
+            "misses": counter["cache.miss"],
+            "writes": counter["cache.write"],
+            "corrupt": counter["cache.corrupt"],
             "layers": {
                 layer: {
-                    "hits": timing.counter(f"cache.{layer}.hit"),
-                    "misses": timing.counter(f"cache.{layer}.miss"),
-                    "writes": timing.counter(f"cache.{layer}.write"),
+                    "hits": counter[f"cache.{layer}.hit"],
+                    "misses": counter[f"cache.{layer}.miss"],
+                    "writes": counter[f"cache.{layer}.write"],
                 }
                 for layer in ("target", "exe", "jit", "timing")
             },
         },
         "compile": {
-            "calls": timing.counter("compile.calls"),
-            "compiled": timing.counter("compile.compiled"),
-            "cgg_builds": timing.counter("cgg.builds"),
+            "calls": counter["compile.calls"],
+            "compiled": counter["compile.compiled"],
+            "cgg_builds": counter["cgg.builds"],
         },
         "grid": {
             "backend": grid_info.get("backend", "inprocess"),
@@ -552,10 +557,10 @@ def _bench_payload(
         },
         "fault_tolerance": {
             "failed_units": len(failures),
-            "timeouts": timing.counter("grid.timeouts"),
-            "retried_units": timing.counter("grid.retried_units"),
-            "pool_rebuilds": timing.counter("grid.pool_rebuilds"),
-            "resumed_units": timing.counter("grid.resumed_units"),
+            "timeouts": counter["grid.timeouts"],
+            "retried_units": counter["grid.retried_units"],
+            "pool_rebuilds": counter["grid.pool_rebuilds"],
+            "resumed_units": counter["grid.resumed_units"],
             "failed_keys": sorted(failure.key for failure in failures),
         },
         # schema v8: the service benchmark (loadgen latency distribution,
@@ -563,8 +568,10 @@ def _bench_payload(
         # until `repro report --serve-bench FILE` merges a loadgen run.
         "serve": None,
         "stalls": _stalls_payload(stall_data),
-        "counters": snapshot["counters"],
-        "phases": snapshot["phases"],
+        "counters": summary["counters"],
+        # schema v12: one entry per span name (per-pass compile spans,
+        # simulate:<function>, target_build.<name>)
+        "phases": summary["phases"],
         "baseline": {
             "seed_serial_seconds": SEED_SERIAL_SECONDS,
             "seed_scale": SEED_SCALE,

@@ -1,6 +1,6 @@
 """Structured observability: span traces, typed counters, stall taxonomy.
 
-``repro.obs`` is the measurement substrate of the system.  It has two
+``repro.obs`` is the one measurement API of the system.  It has two
 cooperating layers:
 
 * :class:`~repro.obs.trace.Trace` — a **span tree** plus typed counters
@@ -16,18 +16,21 @@ cooperating layers:
   scheduler attaches to every nop or issue delay it commits, and the
   hazard kinds the pipeline model charges each stall cycle to.
 
-The ambient process-wide metrics recorder in :mod:`repro.utils.timing`
-is a thin adapter over a :class:`Trace` (aggregates only, no span tree);
-hot paths keep their single-boolean guard.
-
-Instrumented code uses the module-level helpers, which no-op when no
-trace is active::
+Instrumented code uses the module-level helpers, which no-op when
+nothing records::
 
     from repro import obs
 
     with obs.span("codegen:main", strategy="rase"):
         ...
     obs.count("scheduler.blocks")
+
+The same calls also feed the **process recorder**: ``obs.record()``
+installs one process-wide :class:`Trace` that keeps phase aggregates and
+counters but no span tree.  ``repro report``, ``repro serve`` and the
+grid's pool workers turn it on; ``obs.recorder().summary()`` is what
+``BENCH_eval.json`` and ``/v1/stats`` read, and what a worker ships back
+for the parent to ``merge_summary``.
 """
 
 from repro.obs.trace import (
@@ -35,6 +38,9 @@ from repro.obs.trace import (
     Trace,
     count,
     current_trace,
+    enabled,
+    record,
+    recorder,
     span,
     tracing,
 )
@@ -45,6 +51,9 @@ __all__ = [
     "Trace",
     "count",
     "current_trace",
+    "enabled",
+    "record",
+    "recorder",
     "span",
     "stalls",
     "tracing",

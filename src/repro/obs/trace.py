@@ -17,6 +17,14 @@ trace is restored on exit) and parallel workers stay isolated — a thread
 or a forked grid worker activating its own trace never sees, or writes
 into, another worker's span tree.
 
+Next to the ambient trace sits the **process recorder** (:func:`record`,
+:func:`recorder`): one process-wide :class:`Trace` that keeps aggregates
+only.  Every :func:`span` credits its seconds to the phase aggregate
+under its own name, and every :func:`count` bumps the counter, in
+whichever of the two is on; the recorder never grows a span tree, so a
+long-running service stays flat in memory.  With both off, :func:`span`
+and :func:`count` cost one context-variable read and one global load.
+
 Everything the trace records is wall-clock (``time.perf_counter``) and
 process-local.  The picklable :meth:`Trace.summary` carries a trace's
 aggregates across the evaluation grid's process boundary; the span tree
@@ -29,7 +37,7 @@ import contextvars
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 
@@ -70,9 +78,9 @@ class Trace:
     """A span tree plus typed counters for one traced activity.
 
     The aggregate views (``counters``, ``phase_seconds``, ``phase_calls``)
-    accumulate by name across the whole trace — they are what
-    :mod:`repro.utils.timing` exposes as the process metrics recorder,
-    and what :meth:`summary` ships across process boundaries.
+    accumulate by name across the whole trace — they are all the
+    process recorder keeps, and what :meth:`summary` ships across
+    process boundaries.
     """
 
     __slots__ = (
@@ -126,11 +134,8 @@ class Trace:
     # -- aggregation across processes --------------------------------------
 
     def summary(self) -> dict:
-        """A picklable/JSON-ready aggregate view (no span tree).
-
-        The shape matches the historical ``timing.snapshot()`` payload
-        committed in ``BENCH_eval.json``.
-        """
+        """A picklable/JSON-ready aggregate view (no span tree): the
+        ``phases``/``counters`` pair that ``BENCH_eval.json`` commits."""
         return {
             "phases": {
                 name: {
@@ -147,7 +152,7 @@ class Trace:
 
         This is how the evaluation grid carries worker-side metrics back
         to the parent: the worker's aggregates serialize as a plain dict,
-        and the parent merges them into its ambient recorder.
+        and the parent merges them into its process recorder.
         """
         if not summary:
             return
@@ -235,19 +240,64 @@ def tracing(trace: Trace):
         trace.close()
 
 
-@contextmanager
+# -- process recorder -------------------------------------------------------
+
+_process: Trace | None = None
+
+
+def record(on: bool = True) -> Trace | None:
+    """Install a fresh process recorder (aggregates only) and return it;
+    ``record(False)`` turns process recording off.  Forked workers
+    inherit the recorder that was on when they started."""
+    global _process
+    _process = Trace("process") if on else None
+    return _process
+
+
+def recorder() -> Trace | None:
+    """The process recorder, or ``None`` when process recording is off."""
+    return _process
+
+
+def enabled() -> bool:
+    """True when :func:`span`/:func:`count` record anywhere — guard
+    for work done only to produce a count."""
+    return _process is not None or _current.get() is not None
+
+
+# -- recording helpers -------------------------------------------------------
+
+_NO_SPAN = nullcontext()
+
+
 def span(name: str, **attrs):
-    """Open a span on the ambient trace; a no-op when tracing is off."""
+    """Open a span on the ambient trace and credit its seconds to the
+    process recorder; a shared no-op context when both are off."""
     trace = _current.get()
-    if trace is None:
-        yield None
-        return
-    with trace.span(name, **attrs) as node:
-        yield node
+    if trace is None and _process is None:
+        return _NO_SPAN
+    return _span(trace, _process, name, attrs)
+
+
+@contextmanager
+def _span(trace, process, name, attrs):
+    start = time.perf_counter()
+    try:
+        if trace is None:
+            yield None
+        else:
+            with trace.span(name, **attrs) as node:
+                yield node
+    finally:
+        if process is not None:
+            process.add_seconds(name, time.perf_counter() - start)
 
 
 def count(name: str, amount: int = 1) -> None:
-    """Bump a counter on the ambient trace; a no-op when tracing is off."""
+    """Bump a counter on the ambient trace and the process recorder; a
+    no-op when both are off."""
     trace = _current.get()
     if trace is not None:
         trace.count(name, amount)
+    if _process is not None:
+        _process.count(name, amount)

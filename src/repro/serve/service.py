@@ -26,10 +26,10 @@ One :class:`Service` owns
   requests finish (bounded by ``drain_grace``), then closes the
   executor.
 
-Counters flow through :mod:`repro.utils.timing` (``serve.*``, plus the
-``compile.*``/``cgg.*``/``cache.*`` counters merged back from worker
-metrics), so ``/v1/stats`` and the BENCH ``serve`` section read the
-same numbers the rest of the harness does.
+Request, response, dedup and timeout tallies live on the service;
+the ``compile.*``/``cgg.*``/``cache.*``/``sim.*`` counters flow through
+the :mod:`repro.obs` process recorder (merged back from worker
+metrics), so ``/v1/stats`` reads the same numbers BENCH does.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.errors import GridTimeout, error_payload
 from repro.eval.executors import Executor, resolve_executor, resolve_jobs
 from repro.eval.grid import GridTask
@@ -54,7 +55,7 @@ from repro.serve.schema import (
     RunResponse,
     request_key,
 )
-from repro.utils import timing
+from repro.sim.simulator import jit_counters
 
 #: endpoints whose latency the stats ring tracks
 _TIMED = ("compile", "run", "explain")
@@ -158,7 +159,7 @@ class Service:
         resolution — ``self.port`` holds the real port after this."""
         from repro.serve.http import handle_connection
 
-        timing.enable()
+        obs.record()
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._warm()
@@ -250,8 +251,9 @@ class Service:
                 loop.call_soon_threadsafe(self._resolve_event, event)
 
     def _resolve_event(self, event) -> None:
-        if event.metrics is not None:
-            timing.merge(event.metrics)
+        recorder = obs.recorder()
+        if event.metrics is not None and recorder is not None:
+            recorder.merge_summary(event.metrics)
         entry = self._pending.pop(event.key, None)
         if entry is None:
             return  # stale: every waiter timed out and re-keyed
@@ -287,7 +289,6 @@ class Service:
         if entry is not None:
             entry.waiters += 1
             self._dedup_hits += 1
-            timing.add("serve.dedup_hits")
         else:
             entry = _Pending(self._loop.create_future())
             self._pending[key] = entry
@@ -306,7 +307,6 @@ class Service:
                 del self._pending[key]
                 self._executor.cancel(key)
             self._timeouts += 1
-            timing.add("serve.timeouts")
             raise GridTimeout(
                 f"request exceeded its {timeout_s:g}s deadline",
                 seconds=timeout_s,
@@ -315,43 +315,43 @@ class Service:
     async def handle(self, kind: str, doc) -> tuple[int, dict]:
         """One parsed POST body -> ``(status, response document)``."""
         self._requests[kind] += 1
-        timing.add(f"serve.requests.{kind}")
-        watch = timing.stopwatch()
+        start = time.perf_counter()
         try:
             request = schema.parse_request(kind, doc)
             key = request_key(kind, request)
             memo = self._memo_get(key)
             if memo is not None:
                 self._memo_hits += 1
-                timing.add("serve.memo_hits")
                 body = dict(memo)
                 body["served"] = "memo"
-                body["wall_ms"] = round(watch.seconds * 1000, 3)
-                return self._done(kind, 200, body, watch)
+                body["wall_ms"] = round(
+                    (time.perf_counter() - start) * 1000, 3
+                )
+                return self._done(kind, 200, body, start)
             fn, args = _unit_for(kind, request)
             timeout_s = self._deadline(request.timeout_s)
             event = await self._execute(kind, key, fn, args, timeout_s)
             if not event.ok:
                 status = schema.status_for(event.value)
                 return self._done(
-                    kind, status, schema.error_body(event.value), watch
+                    kind, status, schema.error_body(event.value), start
                 )
             body = _response_for(kind, key, event.value).to_json()
             self._memo_put(key, body)
             body = dict(body)
             body["served"] = "executor"
-            body["wall_ms"] = round(watch.seconds * 1000, 3)
-            return self._done(kind, 200, body, watch)
+            body["wall_ms"] = round(
+                (time.perf_counter() - start) * 1000, 3
+            )
+            return self._done(kind, 200, body, start)
         except Exception as exc:  # noqa: BLE001 — every error is a payload
             status, body = schema.error_body_from_exception(exc)
-            return self._done(kind, status, body, watch)
+            return self._done(kind, status, body, start)
 
-    def _done(self, kind, status, body, watch) -> tuple[int, dict]:
+    def _done(self, kind, status, body, start) -> tuple[int, dict]:
         if kind in self._latency:
-            self._latency[kind].append(watch.seconds * 1000)
+            self._latency[kind].append((time.perf_counter() - start) * 1000)
         self._responses[f"{status // 100}xx"] += 1
-        if status >= 400:
-            timing.add("serve.errors")
         return status, body
 
     # -- read-only endpoints ----------------------------------------------
@@ -390,6 +390,10 @@ class Service:
 
         self._requests["stats"] += 1
         store = get_cache()
+        recorder = obs.recorder()
+        counter = collections.Counter(
+            recorder.counters if recorder is not None else {}
+        )
         probe = self._executor.probe() if self._executor else None
         return 200, {
             "api": schema.API_VERSION,
@@ -405,44 +409,31 @@ class Service:
             },
             "timeouts": self._timeouts,
             "compile": {
-                "calls": timing.counter("compile.calls"),
-                "compiled": timing.counter("compile.compiled"),
-                "cgg_builds": timing.counter("cgg.builds"),
+                "calls": counter["compile.calls"],
+                "compiled": counter["compile.compiled"],
+                "cgg_builds": counter["cgg.builds"],
             },
             "sim": {
-                "jit": {
-                    "segments": timing.counter("sim.jit.segments"),
-                    "active_segments": timing.counter(
-                        "sim.jit.active_segments"
-                    ),
-                    "hits": timing.counter("sim.jit.hit"),
-                    "deopts": timing.counter("sim.jit.deopt"),
-                },
+                "jit": jit_counters(counter),
                 "timing": {
-                    "digests_computed": timing.counter(
-                        "sim.timing.digests_computed"
-                    ),
-                    "memo_hits": timing.counter("sim.block_cache.hit"),
-                    "memo_misses": timing.counter("sim.block_cache.miss"),
+                    "digests_computed": counter["sim.timing.digests_computed"],
+                    "memo_hits": counter["sim.block_cache.hit"],
+                    "memo_misses": counter["sim.block_cache.miss"],
                 },
                 "superblock": {
-                    "traces": timing.counter("sim.jit.superblocks"),
-                    "side_exits": timing.counter("sim.jit.side_exits"),
-                    "demoted": timing.counter("sim.jit.sb_demoted"),
-                    "preloaded_segments": timing.counter(
-                        "sim.jit.preloaded"
-                    ),
-                    "preloaded_traces": timing.counter(
-                        "sim.jit.sb_preloaded"
-                    ),
+                    "traces": counter["sim.jit.superblocks"],
+                    "side_exits": counter["sim.jit.side_exits"],
+                    "demoted": counter["sim.jit.sb_demoted"],
+                    "preloaded_segments": counter["sim.jit.preloaded"],
+                    "preloaded_traces": counter["sim.jit.sb_preloaded"],
                 },
             },
             "artifact_cache": {
                 "enabled": store.enabled,
                 "root": str(store.root),
-                "hits": timing.counter("cache.hit"),
-                "misses": timing.counter("cache.miss"),
-                "writes": timing.counter("cache.write"),
+                "hits": counter["cache.hit"],
+                "misses": counter["cache.miss"],
+                "writes": counter["cache.write"],
             },
             "executor": (
                 {

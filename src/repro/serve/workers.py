@@ -5,29 +5,30 @@ so every executor backend can run them: the local pool pickles the
 callable itself.
 
 Each unit reports compile provenance — how many *fresh* kernel compiles
-and CGG builds it caused — by snapshotting the :mod:`repro.utils.timing`
-counters around the work.  On a warm artifact cache both deltas are 0;
-``/v1/stats`` and the CI serve smoke assert exactly that.
+and CGG builds it caused — by snapshotting the :mod:`repro.obs` process
+recorder's counters around the work.  On a warm artifact cache both
+deltas are 0; ``/v1/stats`` and the CI serve smoke assert exactly that.
 """
 
 from __future__ import annotations
 
+from repro import obs
 from repro.options import CompileOptions, SimOptions
-from repro.utils import timing
+
+
+def _provenance() -> tuple[int, int]:
+    """(fresh kernel compiles, CGG builds) recorded so far."""
+    recorder = obs.recorder()
+    counters = recorder.counters if recorder is not None else {}
+    return counters.get("compile.compiled", 0), counters.get("cgg.builds", 0)
 
 
 def _compile(source: str, target: str, options: CompileOptions):
     import repro
 
-    before = (
-        timing.counter("compile.compiled"),
-        timing.counter("cgg.builds"),
-    )
+    before = _provenance()
     executable = repro.compile_c(source, target, options)
-    after = (
-        timing.counter("compile.compiled"),
-        timing.counter("cgg.builds"),
-    )
+    after = _provenance()
     return executable, after[0] - before[0], after[1] - before[1]
 
 

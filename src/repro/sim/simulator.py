@@ -8,7 +8,6 @@ halts the run, and the result is read from the CWVM result register.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.backend.insts import MachineInstr
@@ -23,9 +22,12 @@ from repro.sim.executor import SemanticsCompiler
 from repro.sim.jit import SUPERBLOCK_WARMUP, JitDeopt, SegmentJIT
 from repro.sim.pipeline import AccountingPipelineModel, PipelineModel
 from repro.sim.state import MachineState
-from repro.utils import timing
 
 _HALT = -1
+
+#: running :attr:`SegmentJIT.stats` totals a run reports as its growth,
+#: as ``sim.jit.<name>`` counters (see :meth:`Simulator._count_run`)
+_JIT_TOTALS = ("active_segments", "preloaded", "sb_preloaded", "sb_demoted")
 
 #: sentinel distinguishing "entry not yet considered" from a stored
 #: ``None`` (refused/blacklisted) in the JIT dispatch table
@@ -111,6 +113,25 @@ class _FreeRecords:
 
 
 _FREE_RECORDS = _FreeRecords()
+
+
+def jit_counters(counters) -> dict:
+    """The ``sim.jit`` section of BENCH and ``/v1/stats``, read from a
+    process recorder's counters: segments compiled, segments that went
+    live (compiled or preloaded), hits, deopts and refusals by
+    :attr:`~repro.sim.jit.Uncompilable.reason`."""
+    refused = "sim.jit.refused."
+    return {
+        "segments": counters.get("sim.jit.segments", 0),
+        "active_segments": counters.get("sim.jit.active_segments", 0),
+        "hits": counters.get("sim.jit.hit", 0),
+        "deopts": counters.get("sim.jit.deopt", 0),
+        "refused": {
+            name[len(refused):]: amount
+            for name, amount in sorted(counters.items())
+            if name.startswith(refused)
+        },
+    }
 
 
 def _free_tables(entry, end, transfer, _records=_FREE_RECORDS):
@@ -268,6 +289,7 @@ class Simulator:
             and run_options.max_cycles is None
             and watch is None
         )
+        jit_before = self._jit_totals() if obs.enabled() else None
         with obs.span(
             f"simulate:{function}", target=self.target.name
         ) as node:
@@ -282,37 +304,45 @@ class Simulator:
             if node is not None:
                 node.attrs["cycles"] = result.cycles
                 node.attrs["instructions"] = result.instructions
-            if result.block_cache_hits:
-                obs.count("sim.block_cache.hit", result.block_cache_hits)
-            if result.block_cache_misses:
-                obs.count("sim.block_cache.miss", result.block_cache_misses)
-            if result.timing_digests:
-                obs.count(
-                    "sim.timing.digests_computed", result.timing_digests
-                )
-            if result.jit_segments:
-                obs.count("sim.jit.segments", result.jit_segments)
-            if result.jit_active_segments:
-                obs.count(
-                    "sim.jit.active_segments", result.jit_active_segments
-                )
-            if result.jit_hits:
-                obs.count("sim.jit.hit", result.jit_hits)
-            if result.jit_deopts:
-                obs.count("sim.jit.deopt", result.jit_deopts)
-            if result.jit_superblocks:
-                obs.count("sim.jit.superblocks", result.jit_superblocks)
-            if result.jit_side_exits:
-                obs.count("sim.jit.side_exits", result.jit_side_exits)
-            for reason, count in result.jit_refused.items():
-                obs.count(f"sim.jit.refused.{reason}", count)
-            if result.cycle_breakdown:
-                for kind, count in result.cycle_breakdown.items():
-                    if count:
-                        obs.count(f"sim.stall.{kind}", count)
+        if jit_before is not None:
+            self._count_run(result, jit_before)
         if fast:
             self._persist_sim_artifacts()
         return result
+
+    def _jit_totals(self) -> dict:
+        """The executable's running :attr:`SegmentJIT.stats` (empty
+        before its first JIT run)."""
+        jit = getattr(self.executable, "_segment_jit", None)
+        return jit.stats if jit is not None else {}
+
+    def _count_run(self, result: SimResult, jit_before: dict) -> None:
+        """Emit one run's counters: ``sim.jit.active_segments`` and the
+        other :data:`_JIT_TOTALS` are this run's growth, everything else
+        comes straight from ``result``."""
+        counts = {
+            "sim.instructions": result.instructions,
+            "sim.cycles": result.cycles,
+            "sim.block_cache.hit": result.block_cache_hits,
+            "sim.block_cache.miss": result.block_cache_misses,
+            "sim.timing.digests_computed": result.timing_digests,
+            "sim.jit.segments": result.jit_segments,
+            "sim.jit.hit": result.jit_hits,
+            "sim.jit.deopt": result.jit_deopts,
+            "sim.jit.superblocks": result.jit_superblocks,
+            "sim.jit.side_exits": result.jit_side_exits,
+        }
+        jit_after = self._jit_totals()
+        for name in _JIT_TOTALS:
+            counts[f"sim.jit.{name}"] = (
+                jit_after.get(name, 0) - jit_before.get(name, 0)
+            )
+        for reason, amount in result.jit_refused.items():
+            counts[f"sim.jit.refused.{reason}"] = amount
+        for kind, amount in (result.cycle_breakdown or {}).items():
+            counts[f"sim.stall.{kind}"] = amount
+        for name, amount in counts.items():
+            obs.count(name, amount)
 
     def _artifact_key(self, layer: str, *extra) -> str | None:
         """Artifact-cache key for this executable's simulator state, or
@@ -470,7 +500,6 @@ class Simulator:
         block_of = self.block_of
         block_starts = self._block_starts
         pipeline_issue = pipeline.issue if pipeline else None
-        wall_start = time.perf_counter() if timing.ENABLED else 0.0
         # the watchdog is checked every 256 instructions so its cost on
         # the hot path is one extra branch per instruction
         watchdog = max_cycles is not None
@@ -574,12 +603,6 @@ class Simulator:
                     cycle=pipeline.cycles if pipeline else executed,
                 )
 
-        if timing.ENABLED:
-            timing.add_seconds("sim.run", time.perf_counter() - wall_start)
-            timing.add("sim.instructions", executed)
-            timing.add(
-                "sim.cycles", (pipeline.cycles if pipeline else executed)
-            )
         result = SimResult(
             return_value=None,
             cycles=pipeline.cycles if pipeline else executed,
@@ -663,7 +686,6 @@ class Simulator:
         closures = self.closures
         block_of = self.block_of
         block_starts = self._block_starts
-        wall_start = time.perf_counter() if timing.ENABLED else 0.0
         # ret reads the %retaddr register on every function return; the
         # unit lookup and sign fix are hoisted out of state.read_reg
         units_get = state.units.get
@@ -690,16 +712,12 @@ class Simulator:
         jit_hits_run = 0
         jit_compiled_before = jit.compiled if jit is not None else 0
         jit_deopts_before = jit.deopts if jit is not None else 0
-        jit_active_before = jit.active_segments() if jit is not None else 0
         # trace-superblock dispatch state: the edge profile feeds trace
         # selection
         sb_edges = jit.edges if jit is not None else None
         sb_sites = jit.edge_sites if jit is not None else None
         sb_exits_run = 0
         jit_superblocks_before = jit.superblocks if jit is not None else 0
-        jit_preloaded_before = jit.preloaded if jit is not None else 0
-        jit_sb_preloaded_before = jit.sb_preloaded if jit is not None else 0
-        jit_sb_demoted_before = jit.sb_demoted if jit is not None else 0
         jit_refused_before = jit.refusals.copy() if jit is not None else None
 
         while pc != _HALT:
@@ -1003,8 +1021,6 @@ class Simulator:
             else 0
         )
         jit_segments = jit_deopts = jit_superblocks = 0
-        jit_preloaded_delta = jit_sb_preloaded_delta = 0
-        jit_sb_demoted_delta = 0
         jit_active = 0
         jit_refused = {}
         if jit is not None:
@@ -1013,27 +1029,8 @@ class Simulator:
             jit_segments = jit.compiled - jit_compiled_before
             jit_deopts = jit.deopts - jit_deopts_before
             jit_superblocks = jit.superblocks - jit_superblocks_before
-            jit_preloaded_delta = jit.preloaded - jit_preloaded_before
-            jit_sb_preloaded_delta = jit.sb_preloaded - jit_sb_preloaded_before
-            jit_sb_demoted_delta = jit.sb_demoted - jit_sb_demoted_before
             jit_active = jit.active_segments()
             jit_refused = dict(jit.refusals - jit_refused_before)
-        if timing.ENABLED:
-            timing.add_seconds("sim.run", time.perf_counter() - wall_start)
-            timing.add("sim.instructions", executed)
-            timing.add("sim.cycles", cycles)
-            timing.add("sim.block_cache.hit", hits)
-            timing.add("sim.block_cache.miss", misses)
-            timing.add("sim.timing.digests_computed", digests)
-            timing.add("sim.jit.segments", jit_segments)
-            timing.add("sim.jit.active_segments", jit_active - jit_active_before)
-            timing.add("sim.jit.hit", jit_hits_run)
-            timing.add("sim.jit.deopt", jit_deopts)
-            timing.add("sim.jit.superblocks", jit_superblocks)
-            timing.add("sim.jit.side_exits", sb_exits_run)
-            timing.add("sim.jit.preloaded", jit_preloaded_delta)
-            timing.add("sim.jit.sb_preloaded", jit_sb_preloaded_delta)
-            timing.add("sim.jit.sb_demoted", jit_sb_demoted_delta)
         result = SimResult(
             return_value=None,
             cycles=cycles,

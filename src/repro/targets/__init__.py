@@ -30,7 +30,7 @@ from typing import Callable
 from repro.cache import get_cache
 from repro.errors import MarionError
 from repro.machine.target import TargetMachine
-from repro.utils import timing
+from repro import obs
 
 TARGET_NAMES = ("toyp", "r2000", "m88000", "i860")
 
@@ -63,7 +63,7 @@ def _build(name: str) -> TargetMachine:
             f"unknown target {name!r}; known: {', '.join(TARGET_NAMES)}"
         )
     _BUILD_COUNTS[name] = _BUILD_COUNTS.get(name, 0) + 1
-    with timing.phase(f"target_build.{name}"):
+    with obs.span(f"target_build.{name}"):
         return builder()
 
 
@@ -86,7 +86,7 @@ def _disk_load(variant: str, source: str) -> TargetMachine | None:
         # a key collision or foreign artifact — rebuild cleanly
         store.invalidate("target", key)
         return None
-    timing.add("target_cache.disk_hit")
+    obs.count("target_cache.disk_hit")
     target.content_key = key
     return target
 
@@ -128,16 +128,16 @@ def load_target(name: str, fresh: bool = False) -> TargetMachine:
     in-process instance is left alone).
     """
     if fresh:
-        timing.add("target_cache.bypass")
+        obs.count("target_cache.bypass")
         store = get_cache()
         if store.enabled and name in TARGET_NAMES:
             store.invalidate("target", _target_key(name, maril_source(name)))
         return _build(name)
     cached = _CACHE.get(name)
     if cached is not None:
-        timing.add("target_cache.hit")
+        obs.count("target_cache.hit")
         return cached
-    timing.add("target_cache.miss")
+    obs.count("target_cache.miss")
     target = None
     source = maril_source(name) if name in TARGET_NAMES else None
     if source is not None:

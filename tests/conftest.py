@@ -14,7 +14,16 @@ os.environ["REPRO_CACHE"] = "0"
 
 import pytest
 
+from repro import obs
 from repro.targets import load_target
+
+
+@pytest.fixture
+def process_recorder(monkeypatch):
+    """A fresh process recorder (``obs.record()``) for one test; the
+    previous one, or none, is put back afterwards."""
+    monkeypatch.setattr("repro.obs.trace._process", obs.recorder())
+    return obs.record()
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,11 @@ from repro.errors import (
     MarilSemanticError,
     MarilSyntaxError,
     MarionError,
+    SchedulingError,
     SelectionError,
     SourceLocation,
+    error_payload,
+    reconstruct_error,
 )
 
 
@@ -174,3 +177,35 @@ def test_simulator_pc_bounds():
     # corrupting the return address sends the pc out of the program
     result = sim.run("f")  # normal run is fine
     assert result.instructions >= 1
+
+
+def test_scheduling_error_explains_the_stuck_block():
+    # the one known trigger: RASE's tight-limit estimate pass on K8/i860
+    # (the deadlock itself is pinned by the xfail cell in test_jit.py)
+    from repro.workloads import kernel_by_id
+
+    with pytest.raises(SchedulingError) as caught:
+        repro.compile_c(
+            kernel_by_id(8).source,
+            "i860",
+            repro.CompileOptions(strategy="rase"),
+        )
+    error = caught.value
+    details = error.details
+    assert details["remaining"] > 0
+    assert details["cycle"] > 0
+    assert details["register_limit"] == 4
+    assert details["live"] >= 0
+    assert 0 < len(details["unscheduled"]) <= details["remaining"]
+    assert all(isinstance(text, str) for text in details["unscheduled"])
+    assert details["temporal_groups"]
+    assert f"{details['remaining']} instructions remain" in str(error)
+    # the fields survive the grid's cross-process payload round trip
+    payload = error_payload(error)
+    assert payload["type"] == "SchedulingError"
+    for name, value in details.items():
+        assert payload["details"][name] == value
+    rebuilt = reconstruct_error(payload)
+    assert isinstance(rebuilt, SchedulingError)
+    assert rebuilt.remaining == details["remaining"]
+    assert rebuilt.temporal_groups == details["temporal_groups"]

@@ -11,6 +11,9 @@ Unit functions live at module level so the local pool can pickle them.
 import contextlib
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -214,6 +217,69 @@ def test_journal_resume_skips_done_units(name, tmp_path):
 
 
 # -- spec strings and the redesigned options --------------------------------
+
+
+#: a process that owns a two-worker pool, prints the worker pids once
+#: both have run a unit, then idles until it is killed
+_POOL_OWNER = textwrap.dedent(
+    """
+    import multiprocessing, time
+    from repro.eval.executors import LocalPoolExecutor
+    from repro.eval.grid import GridTask
+
+    pool = LocalPoolExecutor(workers=2)
+    for index in range(2):
+        pool.submit(GridTask(f"nap{index}", time.sleep, (0.3,)))
+    for _ in range(2):
+        while pool.next_event(timeout=5) is None:
+            pass
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    time.sleep(60)
+    """
+)
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_pool_workers_exit_when_their_parent_is_killed():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _POOL_OWNER],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) == 2
+        owner.send_signal(signal.SIGKILL)
+        owner.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        owner.kill()
+        owner.stdout.close()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_resolve_executor_specs():

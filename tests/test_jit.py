@@ -166,9 +166,13 @@ def test_mixed_kind_temporal_is_refused(monkeypatch):
     assert compiled.block_counts == interpreted.block_counts
 
 
-def test_refusal_reasons_are_counted_and_traced():
+def test_refusal_reasons_are_counted_and_traced(process_recorder):
     # every refusal is counted under its reason slug: in the JIT's stats,
-    # in the run's result and as a sim.jit.refused.<reason> trace counter
+    # in the run's result, as a sim.jit.refused.<reason> trace counter
+    # and, through the process recorder, in BENCH and /v1/stats
+    from repro.serve import ServeOptions, serve_app
+    from repro.sim.simulator import jit_counters
+
     spec = kernel_by_id(1)
     executable = _compile(spec, "r2000", "postpass")
     jit = executable._segment_jit = SegmentJIT(executable, warmup=WARMUP)
@@ -185,6 +189,12 @@ def test_refusal_reasons_are_counted_and_traced():
     assert jit.stats["refused"] == {"operator": refused}
     assert result.jit_refused == {"operator": refused}
     assert trace.counters["sim.jit.refused.operator"] == refused
+    assert process_recorder.counters["sim.jit.refused.operator"] == refused
+    assert jit_counters(process_recorder.counters)["refused"] == {
+        "operator": refused
+    }
+    _status, stats = serve_app(ServeOptions(executor="inprocess")).stats()
+    assert stats["sim"]["jit"]["refused"] == {"operator": refused}
     # a run reports only the refusals it decided itself
     again = _simulate(executable, spec, jit=True)
     assert sum(again.jit_refused.values()) == jit.uncompilable - refused

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro
+from repro import obs
 from repro.obs import Trace, count, current_trace, span, tracing
 
 
@@ -93,7 +94,21 @@ def test_to_json_and_chrome_roundtrip(tmp_path):
         trace.write(str(plain), format="xml")
 
 
-def test_compile_records_spans_per_phase():
+PER_PASS_PHASES = (
+    "compile_c",
+    "frontend",
+    "codegen",
+    "codegen:f",
+    "lower",
+    "select",
+    "strategy:ips",
+    "allocate",
+    "schedule[final]",
+    "link",
+)
+
+
+def test_compile_records_spans_per_phase(process_recorder):
     trace = Trace("compile")
     with tracing(trace):
         repro.compile_c(
@@ -102,18 +117,14 @@ def test_compile_records_spans_per_phase():
             repro.CompileOptions(strategy="ips"),
         )
     phases = trace.summary()["phases"]
-    for expected in (
-        "compile_c",
-        "frontend",
-        "codegen:f",
-        "lower",
-        "select",
-        "strategy:ips",
-        "allocate",
-        "schedule[final]",
-        "link",
-    ):
+    for expected in PER_PASS_PHASES:
         assert expected in phases, expected
+    # the process recorder saw the same spans, as aggregates only
+    recorded = process_recorder.summary()["phases"]
+    for expected in PER_PASS_PHASES:
+        assert recorded[expected]["calls"] == phases[expected]["calls"]
+    assert process_recorder.root.children == []
+    assert process_recorder.counters["scheduler.blocks"] > 0
 
 
 def test_simulate_records_span_and_stall_counters():
@@ -136,21 +147,39 @@ def test_simulate_records_span_and_stall_counters():
     assert counted == result.stall_cycles
 
 
-def test_timing_adapter_is_backed_by_obs_trace():
-    from repro.utils import timing
-
-    timing.reset()
-    timing.enable()
-    try:
-        with timing.phase("x"):
-            pass
-        timing.add("y", 2)
-        snap = timing.snapshot()
-        assert snap["counters"]["y"] == 2
-        assert "x" in snap["phases"]
-        assert isinstance(timing.recorder(), Trace)
-        timing.merge({"counters": {"y": 3}, "phases": {}})
-        assert timing.counter("y") == 5
-    finally:
-        timing.enable(False)
-        timing.reset()
+def test_process_recorder_aggregates_spans_counters_and_merges(
+    process_recorder,
+):
+    assert obs.recorder() is process_recorder
+    assert obs.enabled() and current_trace() is None
+    with span("x", ignored="attr") as node:
+        assert node is None  # no span tree without an ambient trace
+    with span("x"):
+        count("y", 2)
+    summary = process_recorder.summary()
+    assert summary["phases"]["x"]["calls"] == 2
+    assert summary["counters"] == {"y": 2}
+    assert process_recorder.root.children == []
+    # a worker's per-unit summary folds in once, counters and phases
+    worker = Trace("worker")
+    worker.count("y", 3)
+    worker.add_seconds("x", 0.5)
+    process_recorder.merge_summary(worker.summary())
+    merged = process_recorder.summary()
+    assert merged["counters"]["y"] == 5
+    assert merged["phases"]["x"]["calls"] == 3
+    assert merged["phases"]["x"]["seconds"] >= 0.5
+    # with an ambient trace active, both record the same span
+    trace = Trace("both")
+    with tracing(trace):
+        with span("z") as node:
+            count("w")
+    assert node is trace.root.children[0]
+    assert trace.counters["w"] == process_recorder.counters["w"] == 1
+    assert process_recorder.phase_calls["z"] == trace.phase_calls["z"] == 1
+    # off: nothing records anywhere
+    obs.record(False)
+    assert obs.recorder() is None and not obs.enabled()
+    with span("off") as node:
+        count("off")
+    assert node is None

@@ -26,7 +26,7 @@ from repro.errors import GridTimeout, RequestError
 from repro.eval.executors import Executor, ExecutorProbe, UnitEvent
 from repro.serve import ServeOptions, serve_app
 from repro.serve import schema
-from repro.utils import timing
+from repro import obs
 
 SRC = "int add(int a, int b) { return a + b; }"
 
@@ -362,7 +362,8 @@ def test_http_endpoints_end_to_end():
         out = {}
         try:
             out["health"] = await _request(port, "GET", "/v1/healthz")
-            before = timing.counter("compile.compiled")
+            compiled = obs.recorder().counters.get
+            before = compiled("compile.compiled", 0)
             out["compile"] = await _request(
                 port, "POST", "/v1/compile",
                 {"source": SRC, "target": "toyp"},
@@ -372,7 +373,7 @@ def test_http_endpoints_end_to_end():
                 {"source": SRC, "target": "toyp"},
             )
             out["fresh_compiles"] = (
-                timing.counter("compile.compiled") - before
+                compiled("compile.compiled", 0) - before
             )
             out["run"] = await _request(
                 port, "POST", "/v1/run",
@@ -438,6 +439,10 @@ def test_http_endpoints_end_to_end():
     assert body["dedup"]["memo_hits"] == 1
     assert body["executor"]["backend"] == "inprocess"
     assert body["latency_ms"]["compile"]["count"] == 2
+    # one run of a tiny function never warms a segment: nothing is
+    # compiled and nothing refused, and the refusal tally is still there
+    assert body["sim"]["jit"]["refused"] == {}
+    assert body["compile"]["compiled"] >= 1
 
     status, body = out["badjson"]
     assert status == 400
