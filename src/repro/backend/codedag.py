@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.backend.insts import MachineInstr, Reg
 from repro.il.node import PseudoReg
 from repro.machine.registers import PhysReg, RegisterModel
@@ -122,7 +123,7 @@ def build_code_dag(
 
     def add_edge(src, dst, latency, kind, clock=None):
         if src is dst:
-            return
+            return False
         for edge in src.succs:
             if edge.dst is dst:
                 # keep one edge with the strongest constraint
@@ -131,10 +132,11 @@ def build_code_dag(
                 if clock is not None and edge.clock is None:
                     edge.clock = clock
                     edge.kind = kind
-                return
+                return False
         edge = DagEdge(src, dst, latency, kind, clock)
         src.succs.append(edge)
         dst.preds.append(edge)
+        return True
 
     for node in nodes:
         instr = node.instr
@@ -199,7 +201,9 @@ def build_code_dag(
             temporal_writer[name] = node
             temporal_readers[name] = []
 
-    _add_protection_edges(dag, add_edge)
+    protection = _add_protection_edges(dag, add_edge)
+    obs.count("codedag.edges", sum(len(node.succs) for node in nodes))
+    obs.count("codedag.protection_edges", protection)
     _compute_priorities(dag)
     return dag
 
@@ -222,73 +226,87 @@ def _operand_reg(instr: MachineInstr, position: int):
     return None
 
 
-def _add_protection_edges(dag: CodeDag, add_edge) -> None:
+def _add_protection_edges(dag: CodeDag, add_edge) -> int:
     """Section 4.6: protect temporal sequences against alternate entries.
 
     For every alternate entry (y, x) into a temporal sequence T based on
     clock k (x in T but not its head), search backward from y; every
     ancestor that affects k and is outside T gets an edge to T's head, so
     all ancestors of sequence members are scheduled before the head and the
-    non-backtracking scheduler cannot deadlock (figure 6).
+    non-backtracking scheduler cannot deadlock (figure 6).  An ancestor the
+    head already reaches gets no edge: it would close a cycle.
+
+    Reachability is kept as int bitsets indexed by ``DagNode.index``:
+    ``desc[i]``/``anc[i]`` hold the strict descendants/ancestors of node i,
+    built in one sweep each because the code thread is topological.  The
+    candidates for one (clock, member) batch are a mask expression; the
+    bitsets are brought up to date once per batch, which is exact because
+    every edge of a batch enters the same head and edges *into* a head
+    cannot change what the head reaches.  Returns the number of edges
+    added.
     """
-    temporal_clocks = {
-        e.clock for n in dag.nodes for e in n.succs if e.is_temporal
-    }
-    for clock in temporal_clocks:
-        members_cache: dict[int, set[DagNode]] = {}
-        for node in dag.nodes:
-            incoming_temporal = [
-                e for e in node.preds if e.is_temporal and e.clock == clock
-            ]
-            if not incoming_temporal:
+    clocks = sorted({e.clock for n in dag.nodes for e in n.succs if e.is_temporal})
+    if not clocks:
+        return 0
+    nodes = dag.nodes
+    desc = [0] * len(nodes)
+    for node in reversed(nodes):
+        reach = 0
+        for edge in node.succs:
+            reach |= desc[edge.dst.index] | (1 << edge.dst.index)
+        desc[node.index] = reach
+    anc = [0] * len(nodes)
+    for node in nodes:
+        reach = 0
+        for edge in node.preds:
+            reach |= anc[edge.src.index] | (1 << edge.src.index)
+        anc[node.index] = reach
+
+    added = 0
+    for clock in clocks:
+        affects = 0
+        for node in nodes:
+            if node.instr.desc.affects_clock == clock:
+                affects |= 1 << node.index
+        sequences: dict[int, int] = {}  # head index -> member mask
+        for node in nodes:
+            if not any(e.is_temporal and e.clock == clock for e in node.preds):
                 continue  # node is a head or not in a sequence for this clock
-            sequence = None
-            head = None
-            alternates = [
-                e for e in node.preds if not (e.is_temporal and e.clock == clock)
-            ]
-            if not alternates:
+            entries = 0
+            for edge in node.preds:
+                if not (edge.is_temporal and edge.clock == clock):
+                    entries |= anc[edge.src.index] | (1 << edge.src.index)
+            if not entries:
                 continue
             head = dag.sequence_head(node, clock)
-            key = id(head)
-            if key not in members_cache:
-                members_cache[key] = dag.sequence_of(head, clock)
-            sequence = members_cache[key]
-            for entry in alternates:
-                for ancestor in _ancestors_inclusive(entry.src):
-                    if ancestor in sequence:
-                        continue
-                    if ancestor.instr.desc.affects_clock == clock and not _reachable(
-                        head, ancestor
-                    ):
-                        add_edge(ancestor, head, 0, 4)
+            h = head.index
+            sequence = sequences.get(h)
+            if sequence is None:
+                sequence = 0
+                for member in dag.sequence_of(head, clock):
+                    sequence |= 1 << member.index
+                sequences[h] = sequence
+            candidates = entries & affects & ~sequence & ~desc[h]
+            if not candidates:
+                continue
+            reach_in = candidates  # every node that now reaches the head
+            for i in _bits(candidates):
+                added += add_edge(nodes[i], head, 0, 4)
+                reach_in |= anc[i]
+            reach_out = desc[h] | (1 << h)
+            for i in _bits(reach_in):
+                desc[i] |= reach_out
+            for i in _bits(reach_out):
+                anc[i] |= reach_in
+    return added
 
 
-def _reachable(src: DagNode, dst: DagNode) -> bool:
-    """True iff ``dst`` is reachable from ``src`` along DAG edges."""
-    seen = {id(src)}
-    stack = [src]
-    while stack:
-        current = stack.pop()
-        if current is dst:
-            return True
-        for edge in current.succs:
-            if id(edge.dst) not in seen:
-                seen.add(id(edge.dst))
-                stack.append(edge.dst)
-    return False
-
-
-def _ancestors_inclusive(node: DagNode):
-    seen = {id(node)}
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for edge in current.preds:
-            if id(edge.src) not in seen:
-                seen.add(id(edge.src))
-                stack.append(edge.src)
+def _bits(mask: int):
+    """The set bit positions of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _compute_priorities(dag: CodeDag) -> None:

@@ -66,7 +66,8 @@ class CodeGenerator:
         out = MachineProgram(target=self.target, globals=dict(program.globals))
         for il_fn in program.functions:
             with obs.span(
-                f"codegen:{il_fn.name}",
+                "codegen_function",
+                function=il_fn.name,
                 target=self.target.name,
                 strategy=self.strategy_name,
             ):

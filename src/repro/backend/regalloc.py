@@ -12,6 +12,7 @@ in schedule-estimate-weighted costs, Postpass/IPS use the classic
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.backend.insts import MachineInstr, Reg
@@ -58,6 +59,9 @@ class GraphColoringAllocator:
         (prologue/epilogue, ``*func`` move expansion)."""
         result = AllocationResult()
         self._spill_temp_ids: set[int] = set()
+        # per-allocation memo: (set name, live across a call) -> the
+        # ordered candidate registers
+        self._candidate_lists: dict[tuple[str, bool], list[PhysReg]] = {}
         already_spilled: set[int] = set()
         for iteration in range(1, _MAX_ITERATIONS + 1):
             result.iterations = iteration
@@ -85,16 +89,20 @@ class GraphColoringAllocator:
             raise AllocationError(
                 f"no general register set for type {pseudo.type!r}"
             )
-        callee = set(self.target.cwvm.callee_save)
-        candidates = [
-            r for r in self.target.cwvm.allocable if r.set_name == set_name
-        ]
-        # cheaper registers first: caller-save for short ranges, callee-save
-        # for ranges living across calls
-        if live_across_call:
-            candidates.sort(key=lambda r: (r not in callee, r.index))
-        else:
-            candidates.sort(key=lambda r: (r in callee, r.index))
+        key = (set_name, live_across_call)
+        candidates = self._candidate_lists.get(key)
+        if candidates is None:
+            callee = set(self.target.cwvm.callee_save)
+            candidates = [
+                r for r in self.target.cwvm.allocable if r.set_name == set_name
+            ]
+            # cheaper registers first: caller-save for short ranges,
+            # callee-save for ranges living across calls
+            if live_across_call:
+                candidates.sort(key=lambda r: (r not in callee, r.index))
+            else:
+                candidates.sort(key=lambda r: (r in callee, r.index))
+            self._candidate_lists[key] = candidates
         return candidates
 
     def _color(
@@ -104,24 +112,22 @@ class GraphColoringAllocator:
         already_spilled: set[int],
     ):
         registers = self.target.registers
+        cwvm = self.target.cwvm
         work = dict(graph.adjacency)  # id -> neighbor set (mutated)
         degrees = {pid: len(neigh) for pid, neigh in work.items()}
         stack: list[int] = []
         remaining = set(work)
 
-        def k_of(pid: int) -> int:
+        # colors available per pseudo: the size of its register set,
+        # counted once per set
+        set_sizes: dict[str | None, int] = {}
+        for reg in cwvm.allocable:
+            set_sizes[reg.set_name] = set_sizes.get(reg.set_name, 0) + 1
+        k = {}
+        for pid in work:
             pseudo = graph.pseudos[pid]
-            wanted = pseudo.set_name or self.target.cwvm.general.get(pseudo.type)
-            return max(
-                1,
-                len(
-                    [
-                        r
-                        for r in self.target.cwvm.allocable
-                        if r.set_name == wanted
-                    ]
-                ),
-            )
+            wanted = pseudo.set_name or cwvm.general.get(pseudo.type)
+            k[pid] = max(1, set_sizes.get(wanted, 0))
 
         def cost_of(pid: int) -> float:
             # spill temporaries must not be re-spilled: infinite cost
@@ -129,10 +135,19 @@ class GraphColoringAllocator:
                 return float("inf")
             return self.cost_overrides.get(pid, graph.spill_cost[pid])
 
+        # simplify the lowest (degree, pid) node with degree < k.  Degrees
+        # only fall, so a node stays simplifiable once it is; the heap gets
+        # a fresh entry at each fall and stale entries are skipped on pop
+        simplifiable = [(degrees[p], p) for p in work if degrees[p] < k[p]]
+        heapq.heapify(simplifiable)
         while remaining:
-            simplifiable = [pid for pid in remaining if degrees[pid] < k_of(pid)]
+            while simplifiable and (
+                simplifiable[0][1] not in remaining
+                or simplifiable[0][0] != degrees[simplifiable[0][1]]
+            ):
+                heapq.heappop(simplifiable)
             if simplifiable:
-                pid = min(simplifiable, key=lambda p: (degrees[p], p))
+                pid = heapq.heappop(simplifiable)[1]
             else:
                 # optimistic push of the cheapest spill candidate
                 pid = min(
@@ -144,6 +159,10 @@ class GraphColoringAllocator:
             for neighbor in work[pid]:
                 if neighbor in remaining:
                     degrees[neighbor] -= 1
+                    if degrees[neighbor] < k[neighbor]:
+                        heapq.heappush(
+                            simplifiable, (degrees[neighbor], neighbor)
+                        )
 
         # move partners per pid, in pair order: pseudo ids come from a
         # process-global counter, so iterating the move-pair *set* would
@@ -153,6 +172,7 @@ class GraphColoringAllocator:
             partners.setdefault(a, []).append(b)
             partners.setdefault(b, []).append(a)
 
+        allocable = frozenset(cwvm.allocable)
         assignment: dict[int, PhysReg] = {}
         spilled: list[PseudoReg] = []
         while stack:
@@ -172,12 +192,10 @@ class GraphColoringAllocator:
                 reg = assignment.get(partner)
                 if reg is None:
                     continue
-                wanted = pseudo.set_name or self.target.cwvm.general.get(
-                    pseudo.type
-                )
+                wanted = pseudo.set_name or cwvm.general.get(pseudo.type)
                 if reg.set_name != wanted:
                     continue
-                if reg not in self.target.cwvm.allocable:
+                if reg not in allocable:
                     continue
                 units = {("u",) + unit for unit in registers.units_of(reg)}
                 if not (units & forbidden):

@@ -21,7 +21,7 @@ nothing records::
 
     from repro import obs
 
-    with obs.span("codegen:main", strategy="rase"):
+    with obs.span("codegen_function", function="main", strategy="rase"):
         ...
     obs.count("scheduler.blocks")
 

@@ -291,7 +291,7 @@ class Simulator:
         )
         jit_before = self._jit_totals() if obs.enabled() else None
         with obs.span(
-            f"simulate:{function}", target=self.target.name
+            "simulate", function=function, target=self.target.name
         ) as node:
             if fast:
                 result = self._run_fast(

@@ -84,7 +84,22 @@ def test_run_trace_json(c_file, tmp_path):
     assert stall_counters
     phases = doc["phases"]
     assert "compile_c" in phases
-    assert "simulate:f" in phases
+    assert "simulate" in phases
+    assert {"function": "f", "target": "r2000"}.items() <= _span_attrs(
+        doc["spans"], "simulate"
+    ).items()
+
+
+def _span_attrs(span, name):
+    """The attributes of the first span called ``name`` in a JSON span
+    tree, depth-first."""
+    if span["name"] == name:
+        return span.get("attrs", {})
+    for child in span.get("children", ()):
+        found = _span_attrs(child, name)
+        if found is not None:
+            return found
+    return None
 
 
 def test_run_trace_chrome(c_file, tmp_path):

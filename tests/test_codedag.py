@@ -1,12 +1,18 @@
 """Unit tests for code DAG construction (edge types, aux latencies,
 protection edges)."""
 
+import random
+
 import pytest
 
+import repro
+from repro.backend import codedag, scheduler
 from repro.backend.codedag import build_code_dag
 from repro.backend.insts import Imm, Reg, make_instr
+from repro.errors import SchedulingError
 from repro.il.node import PseudoReg
 from repro.machine.registers import PhysReg
+from repro.workloads import kernel_by_id
 
 
 from tests.helpers import build as _build
@@ -210,3 +216,153 @@ def test_protection_edge_added_for_alternate_entry(i860):
     for node in dag.nodes:
         for edge in node.succs:
             assert edge.src is not edge.dst
+
+
+# -- protection edges against the reference search ---------------------------
+
+
+def reference_protection_edges(dag, add_edge):
+    """The section 4.6 search as first written: a DFS over the ancestors
+    of every alternate entry, and a DFS from the head for every
+    candidate.  Quadratic, but obviously the paper's rule; the bitset
+    builder must add exactly the edges this adds."""
+    added = 0
+    for clock in sorted({e.clock for n in dag.nodes for e in n.succs if e.is_temporal}):
+        members: dict[int, set] = {}
+        for node in dag.nodes:
+            if not any(e.is_temporal and e.clock == clock for e in node.preds):
+                continue
+            alternates = [
+                e for e in node.preds if not (e.is_temporal and e.clock == clock)
+            ]
+            if not alternates:
+                continue
+            head = dag.sequence_head(node, clock)
+            sequence = members.setdefault(head.index, dag.sequence_of(head, clock))
+            for entry in alternates:
+                for ancestor in _walk(entry.src, "preds", "src"):
+                    if ancestor in sequence:
+                        continue
+                    if ancestor.instr.desc.affects_clock == clock and not any(
+                        n is ancestor for n in _walk(head, "succs", "dst")
+                    ):
+                        added += add_edge(ancestor, head, 0, 4)
+    return added
+
+
+def _walk(node, edges, end):
+    """``node`` and everything reachable from it along ``edges``."""
+    seen = {id(node)}
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for edge in getattr(current, edges):
+            nxt = getattr(edge, end)
+            if id(nxt) not in seen:
+                seen.add(id(nxt))
+                stack.append(nxt)
+
+
+def edge_tuples(dag, kind=None):
+    return {
+        (e.src.index, e.dst.index, e.latency, e.kind)
+        for n in dag.nodes
+        for e in n.succs
+        if kind is None or e.kind == kind
+    }
+
+
+def reference_dag(monkeypatch, instrs, target, include_anti=True):
+    with monkeypatch.context() as patch:
+        patch.setattr(codedag, "_add_protection_edges", reference_protection_edges)
+        return codedag.build_code_dag(instrs, target, include_anti)
+
+
+def assert_acyclic(dag):
+    indegree = {n: len(n.preds) for n in dag.nodes}
+    ready = [n for n in dag.nodes if not indegree[n]]
+    seen = 0
+    while ready:
+        node = ready.pop()
+        seen += 1
+        for edge in node.succs:
+            indegree[edge.dst] -= 1
+            if not indegree[edge.dst]:
+                ready.append(edge.dst)
+    assert seen == len(dag.nodes)
+
+
+def test_protection_edges_match_reference_on_i860_kernels(i860, monkeypatch):
+    """Every block the i860 schedules for K7 and K8, under all three
+    strategies, gets the reference search's protection edges."""
+    blocks = []
+    build = scheduler.build_code_dag
+
+    def capture(instrs, target, include_anti=True):
+        dag = build(instrs, target, include_anti)
+        # compare now: allocation rewrites these instructions in place
+        oracle = reference_dag(monkeypatch, instrs, target, include_anti)
+        blocks.append((edge_tuples(dag), edge_tuples(oracle), edge_tuples(dag, 4)))
+        return dag
+
+    monkeypatch.setattr(scheduler, "build_code_dag", capture)
+    for kernel in (kernel_by_id(7), kernel_by_id(8)):
+        for strategy in ("postpass", "ips", "rase"):
+            try:
+                repro.compile_c(
+                    kernel.source, i860, repro.CompileOptions(strategy=strategy)
+                )
+            except SchedulingError:
+                # K8 under RASE: the blocks before the stuck one still count
+                assert (kernel.id, strategy) == (8, "rase")
+    assert len(blocks) > 50
+    assert sum(len(protection) for _, _, protection in blocks) > 0
+    for ours, oracle, _ in blocks:
+        assert ours == oracle
+
+
+def test_protection_edge_update_sees_earlier_edges(i860, monkeypatch):
+    """An edge added for one sequence can make a later sequence's head
+    reach a candidate ancestor.  Here M3/FWBM (head 0) and M1/M2 (head 1)
+    are two clk_m sequences with crossed anti-dependences.  Entering M2
+    from M3 adds 0 -> 1; then, entering FWBM from M1, head 0 reaches M1
+    through that new edge, so 1 -> 0 must not be added (it would close a
+    cycle).  Reachability that ignored the first edge would add it."""
+    d4 = Reg(PhysReg("d", 4))
+    instrs = [
+        instr(i860, "M3"),
+        instr(i860, "M1", d4, d4),
+        instr(i860, "M2"),
+        instr(i860, "FWBM", d4),
+    ]
+    dag = build_code_dag(instrs, i860)
+    assert edge_tuples(dag, 4) == {(0, 1, 0, 4)}
+    assert edge_between(dag, 1, 0) is None
+    assert_acyclic(dag)
+    assert edge_tuples(dag) == edge_tuples(reference_dag(monkeypatch, instrs, i860))
+
+
+def test_protection_edges_match_reference_on_random_blocks(i860, monkeypatch):
+    """Random straight-line mixes of the i860's pipeline sub-operations,
+    over few registers so that sequences cross and entries abound."""
+    rng = random.Random(1991)
+    shapes = {
+        "M1": 2, "M2": 0, "M3": 0, "FWBM": 1,
+        "A1": 2, "A2": 0, "A3": 0, "FWBA": 1, "A1M": 1,
+    }
+    protected = 0
+    for _ in range(300):
+        regs = [Reg(PhysReg("d", 4 + 2 * i)) for i in range(rng.randrange(1, 4))]
+        spec = [
+            (op, [rng.choice(regs) for _ in range(shapes[op])])
+            for op in (rng.choice(sorted(shapes)) for _ in range(rng.randrange(4, 14)))
+        ]
+        dag = build_code_dag([instr(i860, op, *ops) for op, ops in spec], i860)
+        oracle = reference_dag(
+            monkeypatch, [instr(i860, op, *ops) for op, ops in spec], i860
+        )
+        assert edge_tuples(dag) == edge_tuples(oracle), spec
+        assert_acyclic(dag)
+        protected += len(edge_tuples(dag, 4))
+    assert protected > 0

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro import obs
 from repro.obs import Trace, count, current_trace, span, tracing
+from repro.workloads import kernel_by_id
 
 
 def test_span_tree_nesting():
@@ -98,7 +99,7 @@ PER_PASS_PHASES = (
     "compile_c",
     "frontend",
     "codegen",
-    "codegen:f",
+    "codegen_function",
     "lower",
     "select",
     "strategy:ips",
@@ -119,12 +120,46 @@ def test_compile_records_spans_per_phase(process_recorder):
     phases = trace.summary()["phases"]
     for expected in PER_PASS_PHASES:
         assert expected in phases, expected
+    # the function name rides on the span, not in the phase key
+    (function_span,) = [
+        s for s in trace.root.walk() if s.name == "codegen_function"
+    ]
+    assert function_span.attrs["function"] == "f"
     # the process recorder saw the same spans, as aggregates only
     recorded = process_recorder.summary()["phases"]
     for expected in PER_PASS_PHASES:
         assert recorded[expected]["calls"] == phases[expected]["calls"]
     assert process_recorder.root.children == []
     assert process_recorder.counters["scheduler.blocks"] > 0
+
+
+def test_phase_keys_do_not_grow_with_function_names(process_recorder):
+    """Per-function spans key their aggregate by pass, not by function
+    name, so a long-running recorder stays bounded."""
+
+    def compile_named(name):
+        repro.compile_c(f"int {name}(int a) {{ return a + 1; }}", "toyp")
+
+    compile_named("f0")
+    one = set(process_recorder.summary()["phases"])
+    for i in range(1, 50):
+        compile_named(f"f{i}")
+    assert set(process_recorder.summary()["phases"]) == one
+    assert process_recorder.phase_calls["codegen_function"] == 50
+
+
+def test_code_dag_counters_show_protection_edges(process_recorder):
+    """The i860's temporal sequences cost protection edges; a machine
+    without explicitly advanced pipelines records none."""
+    source = kernel_by_id(8).source
+    repro.compile_c(source, "toyp")
+    toyp = dict(process_recorder.counters)
+    assert toyp["codedag.edges"] > 0
+    assert toyp.get("codedag.protection_edges", 0) == 0
+    repro.compile_c(source, "i860")
+    i860 = process_recorder.counters
+    assert i860["codedag.protection_edges"] > 0
+    assert i860["codedag.edges"] > toyp["codedag.edges"]
 
 
 def test_simulate_records_span_and_stall_counters():
@@ -138,7 +173,9 @@ def test_simulate_records_span_and_stall_counters():
         )
     assert result.return_value["int"] == 27
     phases = trace.summary()["phases"]
-    assert "simulate:f" in phases
+    assert phases["simulate"]["calls"] == 1
+    (sim_span,) = [s for s in trace.root.walk() if s.name == "simulate"]
+    assert sim_span.attrs["function"] == "f"
     counted = sum(
         amount
         for name, amount in trace.counters.items()
